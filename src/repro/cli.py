@@ -47,6 +47,19 @@ def _scheme(name: str) -> Scheme:
     raise SystemExit(f"unknown scheme {name!r} (choose from: {choices})")
 
 
+def _workload(name: str):
+    """The named workload; an unknown name exits 2 listing the valid ones."""
+    try:
+        return workload_by_name(name)
+    except KeyError:
+        choices = ", ".join(w.name.lower() for w in all_workloads())
+        print(
+            f"repro: error: unknown workload {name!r} (choose from: {choices})",
+            file=sys.stderr,
+        )
+        raise SystemExit(2) from None
+
+
 def _expand_chaos_specs(tokens: List[str], cluster) -> List[str]:
     """Expand ``random:<n>@<seed>`` and ``@artifact.json`` chaos tokens
     into plain event specs; other tokens pass through untouched.
@@ -149,7 +162,7 @@ def _print_sanitize_report(sanitizer) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     sanitizer = _maybe_sanitize(args)
-    workload = workload_by_name(args.workload)
+    workload = _workload(args.workload)
     scheme = _scheme(args.scheme)
     if args.chaos:
         args.chaos = _expand_chaos_specs(args.chaos, ExperimentPlan().cluster)
@@ -478,7 +491,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    workload = workload_by_name(args.workload)
+    workload = _workload(args.workload)
     plan = _plan(args.seeds)
     rows = []
     for scheme in PAPER_SCHEMES:
@@ -553,7 +566,7 @@ def cmd_lineage(args: argparse.Namespace) -> int:
     from repro.metrics.reporting import lineage_dump
     from repro.simulation import RandomSource
 
-    workload = workload_by_name(args.workload)
+    workload = _workload(args.workload)
     scheme = _scheme(args.scheme)
     plan = _plan(1)
     config = config_for_scheme(scheme, workload.spec, 0)
@@ -800,10 +813,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         status = args.func(args)
     finally:
         profiler.disable()
-        print(f"\ncProfile — top {args.profile} by cumulative time")
-        stats = pstats.Stats(profiler)
-        stats.sort_stats("cumulative")
-        stats.print_stats(args.profile)
+    # Only a command that returned gets a report: after a raise the
+    # table would bury the error.
+    print(f"\ncProfile — top {args.profile} by cumulative time")
+    stats = pstats.Stats(profiler)
+    stats.sort_stats("cumulative")
+    stats.print_stats(args.profile)
     return status
 
 

@@ -232,8 +232,9 @@ class HealthCounters:
     * ``datacenters_blacklisted`` — datacenter-level escalations;
     * ``blacklist_evictions``     — timed expiries of app-wide
       exclusions (the executor returns to service);
-    * ``placements_vetoed``       — placement decisions the scheduler
-      changed because the candidate host was excluded;
+    * ``placements_vetoed``       — vetoed candidate hosts: each free,
+      pool-allowed but excluded host removed from the candidate set of
+      a pending task the dispatcher evaluated;
     * ``breaker_trips``           — WAN circuit breakers opened
       (including half-open probes that failed and re-opened);
     * ``breaker_probes``          — probe flows admitted in half-open;

@@ -25,6 +25,7 @@ from repro.network.topology import Topology
 from repro.scheduler.task import Task, TaskResult
 from repro.simulation.event import Event
 from repro.simulation.kernel import Simulator
+from repro.simulation.timer_wheel import TimerHandle
 
 # Locality levels, smaller is better.
 _HOST_LOCAL = 0
@@ -55,12 +56,43 @@ class Executor:
 
 
 class _PendingEntry:
-    __slots__ = ("task", "completion", "sequence")
+    """A queued task plus its placement sets, built once at enqueue.
 
-    def __init__(self, task: Task, completion: Event, sequence: int) -> None:
+    A task's placement fields (preferences, waits) are fixed before
+    :meth:`TaskScheduler.submit` and never mutated afterwards, so the
+    host sets each locality tier opens are computed once here rather
+    than on every dispatch.
+    """
+
+    __slots__ = (
+        "task",
+        "completion",
+        "sequence",
+        "preferred",
+        "dc_hosts",
+        "host_wait",
+        "dc_wait",
+    )
+
+    def __init__(
+        self,
+        task: Task,
+        completion: Event,
+        sequence: int,
+        preferred: frozenset,
+        dc_hosts: frozenset,
+        host_wait: float,
+        dc_wait: float,
+    ) -> None:
         self.task = task
         self.completion = completion
         self.sequence = sequence
+        # Host-local tier; empty when the task has no preference.
+        self.preferred = preferred
+        # Datacenter-local tier: every host of a preferred datacenter.
+        self.dc_hosts = dc_hosts
+        self.host_wait = host_wait
+        self.dc_wait = dc_wait
 
 
 class _RunningRecord:
@@ -102,6 +134,8 @@ class TaskScheduler:
         # a set: executor removal iterates it and must be deterministic).
         self._running: List[_RunningRecord] = []
         self._sequence = itertools.count()
+        # The one live locality wakeup (see _plan_wakeup).
+        self._wake: Optional[TimerHandle] = None
         self._wake_planned_at: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -111,8 +145,17 @@ class TaskScheduler:
         """Queue a task; returns an event firing with its TaskResult."""
         task.submit_time = self.sim.now
         completion = self.sim.event(name=f"{task.task_id}:done")
+        host_wait, dc_wait = self._task_waits(task)
         self._pending.append(
-            _PendingEntry(task, completion, next(self._sequence))
+            _PendingEntry(
+                task,
+                completion,
+                next(self._sequence),
+                frozenset(task.preferred_hosts),
+                self._preferred_dc_hosts(task.preferred_hosts),
+                host_wait,
+                dc_wait,
+            )
         )
         self._dispatch()
         return completion
@@ -173,40 +216,94 @@ class TaskScheduler:
     def _best_assignment(self) -> Optional[Tuple[_PendingEntry, str]]:
         """The (task, host) pair with the best locality, if any.
 
-        Hosts with more free slots are preferred within a locality level,
-        spreading load like Spark standalone's ``spreadOut``.
+        Ranked by locality level, then submission order; within the
+        winning entry's level, the host with the most free slots wins
+        (first in executor order on ties), spreading load like Spark
+        standalone's ``spreadOut``.  Each pending entry is evaluated
+        once against the free set: ``_pending`` is in submission order,
+        so the first host-local hit is final and a later entry is only
+        examined for tiers that beat the best level found so far.
         """
+        executors = self.executors
         free_hosts = [
-            executor.host
-            for executor in self.executors.values()
-            if executor.free > 0
+            host
+            for host, executor in executors.items()
+            if executor.busy < executor.cores
         ]
         if not free_hosts:
             return None
-        best: Optional[Tuple[int, int, int, _PendingEntry, str]] = None
+        now = self.sim.now
+        best_level = _ANY + 1
+        best: Optional[Tuple[_PendingEntry, List[str]]] = None
         for entry in self._pending:
-            vetoed = self._vetoed_hosts(entry.task)
-            allowed = self._allowed_hosts(entry.task)
-            for host in free_hosts:
-                if allowed is not None and host not in allowed:
+            task = entry.task
+            candidates = self._candidates(task, free_hosts)
+            if not candidates:
+                continue
+            preferred = entry.preferred
+            if not preferred or not any(
+                pref in executors for pref in task.preferred_hosts
+            ):
+                # No preference, or every preferred host is dead (e.g. a
+                # datacenter outage took the elected aggregator):
+                # waiting out the locality tiers cannot help, so run
+                # anywhere now and let the read path escalate to
+                # re-election instead of stalling.
+                if best_level > _ANY:
+                    best_level, best = _ANY, (entry, candidates)
+                continue
+            local = [host for host in candidates if host in preferred]
+            if local:
+                return entry, self._most_free(local)
+            if best_level <= _DC_LOCAL:
+                continue
+            waited = now - task.submit_time
+            if waited >= entry.host_wait:
+                dc_hosts = entry.dc_hosts
+                dc_local = [host for host in candidates if host in dc_hosts]
+                if dc_local:
+                    best_level, best = _DC_LOCAL, (entry, dc_local)
                     continue
-                if vetoed is not None and host in vetoed:
-                    self.blacklist.counters.placements_vetoed += 1
-                    continue
-                level = self._eligibility(entry.task, host)
-                if level is None:
-                    continue
-                # Rank: locality level, then submission order, then spread.
-                key = (
-                    level,
-                    entry.sequence,
-                    -self.executors[host].free,
-                )
-                if best is None or key < best[:3]:
-                    best = (*key, entry, host)
+            if (
+                best_level > _ANY
+                and waited >= entry.host_wait + entry.dc_wait
+            ):
+                best_level, best = _ANY, (entry, candidates)
         if best is None:
             return None
-        return best[3], best[4]
+        return best[0], self._most_free(best[1])
+
+    def _candidates(self, task: Task, free_hosts: List[str]) -> List[str]:
+        """``free_hosts`` ∩ the task's pool − its blacklist vetoes.
+
+        Vetoed hosts removed here are counted in ``placements_vetoed``.
+        """
+        allowed = self._allowed_hosts(task)
+        vetoed = self._vetoed_hosts(task)
+        if vetoed is None:
+            if allowed is None:
+                return free_hosts
+            return [host for host in free_hosts if host in allowed]
+        candidates = []
+        for host in free_hosts:
+            if allowed is not None and host not in allowed:
+                continue
+            if host in vetoed:
+                self.blacklist.counters.placements_vetoed += 1
+                continue
+            candidates.append(host)
+        return candidates
+
+    def _most_free(self, hosts: List[str]) -> str:
+        """The host with the most free slots, first in order on ties."""
+        executors = self.executors
+        best_host = hosts[0]
+        most = executors[best_host].free
+        for host in hosts:
+            free = executors[host].free
+            if free > most:
+                best_host, most = host, free
+        return best_host
 
     def _allowed_hosts(self, task: Task) -> Optional[frozenset]:
         """The executor-pool share ``task`` is confined to, or None.
@@ -257,27 +354,15 @@ class TaskScheduler:
         )
         return host_wait, dc_wait
 
-    def _eligibility(self, task: Task, host: str) -> Optional[int]:
-        """The locality level at which ``task`` may run on ``host`` now."""
-        if not task.preferred_hosts:
-            return _ANY
-        if host in task.preferred_hosts:
-            return _HOST_LOCAL
-        if not any(pref in self.executors for pref in task.preferred_hosts):
-            # Every preferred host is dead (e.g. a datacenter outage
-            # took the elected aggregator): waiting out the locality
-            # tiers cannot help, so run anywhere now and let the read
-            # path escalate to re-election instead of stalling.
-            return _ANY
-        host_wait, dc_wait = self._task_waits(task)
-        waited = self.sim.now - task.submit_time
-        if waited >= host_wait:
-            host_dc = self.topology.datacenter_of(host)
-            if host_dc in task.preferred_datacenters:
-                return _DC_LOCAL
-        if waited >= host_wait + dc_wait:
-            return _ANY
-        return None
+    def _preferred_dc_hosts(self, preferred_hosts: List[str]) -> frozenset:
+        """Every host of the datacenters holding ``preferred_hosts``."""
+        topology = self.topology
+        datacenters = dict.fromkeys(map(topology.datacenter_of, preferred_hosts))
+        return frozenset(
+            host
+            for datacenter in datacenters
+            for host in topology.hosts_in(datacenter)
+        )
 
     def _launch(self, entry: _PendingEntry, host: str) -> None:
         executor = self.executors[host]
@@ -327,10 +412,10 @@ class TaskScheduler:
             return
         next_time: Optional[float] = None
         for entry in self._pending:
-            submitted = entry.task.submit_time
-            if not entry.task.preferred_hosts:
+            if not entry.preferred:
                 continue
-            wait_host, wait_dc = self._task_waits(entry.task)
+            submitted = entry.task.submit_time
+            wait_host, wait_dc = entry.host_wait, entry.dc_wait
             for threshold in (
                 submitted + wait_host,
                 submitted + wait_host + wait_dc,
@@ -348,15 +433,17 @@ class TaskScheduler:
                     next_time = expiry
         if next_time is None:
             return
-        if self._wake_planned_at is not None and (
-            self._wake_planned_at <= next_time
-            and self._wake_planned_at > self.sim.now
-        ):
+        planned = self._wake_planned_at
+        if planned is not None and self.sim.now < planned <= next_time:
             return  # an earlier-or-equal wake is already scheduled
+        # One live wake per scheduler: a superseded timer is cancelled,
+        # never left to fire a futile dispatch (and re-arm a duplicate).
+        if self._wake is not None:
+            self._wake.cancel()
         self._wake_planned_at = next_time
-        wake = self.sim.timeout(next_time - self.sim.now, name="sched:wake")
-        wake.add_callback(lambda _event: self._on_wake())
+        self._wake = self.sim.call_later(next_time - self.sim.now, self._on_wake)
 
     def _on_wake(self) -> None:
+        self._wake = None
         self._wake_planned_at = None
         self._dispatch()

@@ -56,9 +56,15 @@ def test_lineage_without_aggregation_has_no_transfers(capsys):
     assert "shuffle#" in out
 
 
-def test_unknown_workload_rejected():
-    with pytest.raises(KeyError):
+def test_unknown_workload_rejected(capsys):
+    with pytest.raises(SystemExit) as excinfo:
         main(["run", "mystery"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "unknown workload 'mystery'" in err
+    for name in ("wordcount", "sort", "terasort", "pagerank", "naivebayes"):
+        assert name in err
 
 
 def test_profile_flag_appends_cprofile_report(capsys):
@@ -69,6 +75,15 @@ def test_profile_flag_appends_cprofile_report(capsys):
     assert "Sort / Spark" in out
     assert "cProfile — top 5 by cumulative time" in out
     assert "cumtime" in out
+
+
+def test_profile_flag_skips_report_when_command_fails(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--profile", "3", "run", "nosuchworkload"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "cProfile" not in captured.out
+    assert "unknown workload 'nosuchworkload'" in captured.err
 
 
 # ----------------------------------------------------------------------
