@@ -22,7 +22,7 @@ from benchmarks.matrix_cache import emit
 from repro.experiments.runner import (
     ExperimentPlan,
     RunResult,
-    run_matrix_parallel,
+    run_matrix,
 )
 from repro.experiments.schemes import SCHEME_REGISTRY, scheme_spec
 from repro.workloads import workload_by_name
@@ -44,7 +44,7 @@ def _mean(values: List[float]) -> float:
 
 def _build_matrix() -> List[RunResult]:
     plan = ExperimentPlan(seeds=tuple(range(_seed_count())))
-    return run_matrix_parallel(
+    return run_matrix(
         [workload_by_name("terasort")], list(BACKEND_SCHEMES), plan, jobs=None
     )
 

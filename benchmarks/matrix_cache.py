@@ -13,10 +13,6 @@ Environment knobs:
 * ``REPRO_JOBS``       — worker processes for the run matrix (cells are
   independent seeded simulations; parallel output is identical to the
   sequential run).  Unset or <= 1 runs sequentially.
-* ``REPRO_SHARDED``    — non-zero routes the matrix through
-  :func:`repro.experiments.runner.run_matrix_sharded`: contiguous cell
-  shards per worker plus parent-side dataset generation shipped to the
-  workers, still byte-identical to the sequential run.
 """
 
 from __future__ import annotations
@@ -29,8 +25,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 from repro.experiments.runner import (
     ExperimentPlan,
     RunResult,
-    run_matrix_parallel,
-    run_matrix_sharded,
+    run_matrix,
 )
 from repro.experiments.schemes import PAPER_SCHEMES
 from repro.workloads import all_workloads
@@ -63,12 +58,7 @@ def get_matrix(seeds: Sequence[int] | None = None) -> List[RunResult]:
     if key not in _matrix_cache:
         plan = ExperimentPlan(seeds=seed_tuple)
         # jobs=None honours REPRO_JOBS; <= 1 runs sequentially.
-        runner = (
-            run_matrix_sharded
-            if os.environ.get("REPRO_SHARDED", "0") not in ("", "0")
-            else run_matrix_parallel
-        )
-        _matrix_cache[key] = runner(
+        _matrix_cache[key] = run_matrix(
             selected_workloads(), list(PAPER_SCHEMES), plan, jobs=None
         )
     return _matrix_cache[key]

@@ -31,7 +31,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.runner import (
     ExperimentPlan,
-    run_matrix_parallel,
+    run_matrix,
     run_workload_once,
 )
 from repro.experiments.schemes import PAPER_SCHEMES, Scheme, all_schemes
@@ -507,7 +507,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _matrix(args: argparse.Namespace):
-    return run_matrix_parallel(
+    return run_matrix(
         all_workloads(),
         list(PAPER_SCHEMES),
         _plan(args.seeds),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.builder import ClusterSpec, ec2_six_region_spec
@@ -233,9 +233,8 @@ def _run_stream_cell(
 
     The arrival schedule derives from the cell's run seed through the
     context's root RandomSource (named child stream), so identical seeds
-    reproduce identical schedules in every harness — serial,
-    per-cell-parallel, and sharded — and adding draws elsewhere never
-    perturbs them.
+    reproduce identical schedules whatever ``jobs`` the matrix runs
+    with, and adding draws elsewhere never perturbs them.
     """
     from repro.scheduler.job_scheduler import run_stream
     from repro.workloads.arrivals import generate_arrivals
@@ -301,38 +300,6 @@ def _run_stream_cell(
     )
 
 
-def run_matrix(
-    workloads: Sequence[Workload],
-    schemes: Sequence[Scheme],
-    plan: Optional[ExperimentPlan] = None,
-) -> List[RunResult]:
-    """The full cross product: every workload x scheme x seed."""
-    plan = plan if plan is not None else ExperimentPlan()
-    results: List[RunResult] = []
-    for workload in workloads:
-        for scheme in schemes:
-            for seed in plan.seeds:
-                results.append(
-                    run_workload_once(workload, scheme, seed, plan)
-                )
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Parallel harness
-# ---------------------------------------------------------------------------
-def _run_cell(payload: Tuple[str, Scheme, int, ExperimentPlan]) -> RunResult:
-    """Worker entry point: rebuild the workload by name and run one cell.
-
-    Top-level so it pickles; the workload is reconstructed in the worker
-    (workload objects hold closures that do not survive pickling).
-    """
-    from repro.workloads import workload_by_name
-
-    workload_name, scheme, seed, plan = payload
-    return run_workload_once(workload_by_name(workload_name), scheme, seed, plan)
-
-
 def default_jobs() -> int:
     """Worker count from the ``REPRO_JOBS`` environment knob (0 = off)."""
     value = os.environ.get("REPRO_JOBS", "0")
@@ -344,63 +311,86 @@ def default_jobs() -> int:
         ) from None
 
 
-def run_matrix_parallel(
+def run_matrix(
     workloads: Sequence[Workload],
     schemes: Sequence[Scheme],
     plan: Optional[ExperimentPlan] = None,
     jobs: Optional[int] = None,
 ) -> List[RunResult]:
-    """:func:`run_matrix` fanned out over a process pool.
+    """The full cross product: every workload x scheme x seed.
 
-    Every cell is an independent, seeded, deterministic simulation, so
-    the fan-out preserves results bit-for-bit: the returned list is in
-    the same (workload, scheme, seed) order as the sequential path and
-    every ``RunResult`` field is identical.  ``jobs`` <= 1 (or ``None``
-    with ``REPRO_JOBS`` unset) falls back to the sequential runner.
+    ``jobs`` <= 1 (or ``None`` with ``REPRO_JOBS`` unset) runs the cells
+    in turn.  Otherwise :func:`shard_map` hands each of ``jobs`` worker
+    processes one **contiguous** slice of the cell list, so a worker
+    amortises its process-local caches across the whole slice, and the
+    parent generates every dataset the matrix needs once (via the same
+    :func:`generated_input` cache) and ships it to the workers at
+    startup.  Cells are independent seeded simulations, so the output is
+    byte-identical either way, in the same workload -> scheme -> seed
+    order.
     """
+    plan = plan if plan is not None else ExperimentPlan()
     if jobs is None:
         jobs = default_jobs()
     if jobs <= 1:
-        return run_matrix(workloads, schemes, plan)
-    plan = plan if plan is not None else ExperimentPlan()
+        return [
+            run_workload_once(workload, scheme, seed, plan)
+            for workload in workloads
+            for scheme in schemes
+            for seed in plan.seeds
+        ]
     cells = [
         (workload.name, scheme, seed, plan)
         for workload in workloads
         for scheme in schemes
         for seed in plan.seeds
     ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_cell, cells))
+    # Pre-generate every dataset once, in the parent (stream cells
+    # generate no workload dataset).
+    entries: Dict[Tuple[str, int], List[List[Any]]] = {}
+    if plan.stream is None:
+        data_seeds = (
+            (plan.fixed_data_seed,)
+            if plan.fixed_data_seed is not None
+            else tuple(plan.seeds)
+        )
+        for workload in workloads:
+            for data_seed in data_seeds:
+                entries[(workload.name, data_seed)] = generated_input(
+                    workload, data_seed
+                )
+    return shard_map(
+        cells,
+        _run_shard,
+        jobs=jobs,
+        initializer=_prefill_worker_cache,
+        initargs=(entries,),
+    )
 
 
-# ---------------------------------------------------------------------------
-# Sharded harness: contiguous cell shards + pre-filled dataset caches
-# ---------------------------------------------------------------------------
 def shard_map(
     items: Sequence[Any],
     shard_runner: Any,
     jobs: Optional[int] = None,
-    shards: Optional[int] = None,
     initializer: Any = None,
     initargs: Tuple[Any, ...] = (),
 ) -> List[Any]:
     """Map a picklable per-shard function over contiguous slices of
     ``items`` in a process pool, preserving order.
 
-    The generic core of :func:`run_matrix_sharded`, reused by the chaos
-    campaign (:mod:`repro.failures.campaign`): ``shard_runner`` takes a
-    contiguous sub-sequence of ``items`` and returns a list of results;
-    the flattened output is therefore identical to
-    ``shard_runner(items)`` run sequentially — which is exactly what
-    happens when ``jobs`` <= 1 (or ``None`` with ``REPRO_JOBS`` unset).
+    The generic core of :func:`run_matrix`, reused by the chaos campaign
+    (:mod:`repro.failures.campaign`): ``shard_runner`` takes a
+    contiguous sub-sequence of ``items`` and returns a list of results,
+    and each of ``jobs`` workers gets one slice.  The flattened output
+    is therefore identical to ``shard_runner(items)`` run sequentially —
+    which is exactly what happens when ``jobs`` <= 1 (or ``None`` with
+    ``REPRO_JOBS`` unset).
     """
     if jobs is None:
         jobs = default_jobs()
     if jobs <= 1 or len(items) <= 1:
         return list(shard_runner(items))
-    if shards is None:
-        shards = jobs
-    shards = max(1, min(shards, len(items)))
+    shards = min(jobs, len(items))
     base_size, extra = divmod(len(items), shards)
     slices: List[Sequence[Any]] = []
     start = 0
@@ -423,8 +413,7 @@ def _prefill_worker_cache(entries: Dict[Tuple[str, int], List[List[Any]]]) -> No
 
     The parent generates every dataset the matrix needs exactly once and
     ships the cache to each worker at startup, so no worker ever pays
-    dataset generation again — with per-cell fan-out each fresh worker
-    regenerates the data for its first cell of every (workload, seed).
+    dataset generation again.
     """
     _DATA_CACHE.update(entries)
 
@@ -432,101 +421,15 @@ def _prefill_worker_cache(entries: Dict[Tuple[str, int], List[List[Any]]]) -> No
 def _run_shard(
     shard: Sequence[Tuple[str, Scheme, int, ExperimentPlan]],
 ) -> List[RunResult]:
-    """Worker entry point: run a contiguous slice of the cell list."""
+    """Worker entry point: run a contiguous slice of the cell list.
+
+    Top-level so it pickles; each workload is rebuilt by name in the
+    worker (workload objects hold closures that do not survive
+    pickling).
+    """
     from repro.workloads import workload_by_name
 
     return [
         run_workload_once(workload_by_name(name), scheme, seed, plan)
         for name, scheme, seed, plan in shard
     ]
-
-
-def _chaos_variants(
-    plan: ExperimentPlan, chaos: Optional[Sequence[Any]]
-) -> List[ExperimentPlan]:
-    """Expand the optional chaos axis into per-schedule plan variants."""
-    if chaos is None:
-        return [plan]
-    base = plan.base_config
-    if base is None:
-        base = SimulationConfig()
-    return [
-        replace(plan, base_config=base.with_chaos(schedule))
-        for schedule in chaos
-    ]
-
-
-def run_matrix_sharded(
-    workloads: Sequence[Workload],
-    schemes: Sequence[Scheme],
-    plan: Optional[ExperimentPlan] = None,
-    jobs: Optional[int] = None,
-    shards: Optional[int] = None,
-    chaos: Optional[Sequence[Any]] = None,
-) -> List[RunResult]:
-    """:func:`run_matrix` over contiguous shards with shared data caches.
-
-    Differences from :func:`run_matrix_parallel`:
-
-    * the (workload x scheme [x chaos] x seed) cell list is split into
-      ``shards`` **contiguous** slices (default: one per worker), so a
-      worker amortises its process-local caches across a whole slice
-      instead of paying one pickling round-trip per cell;
-    * the parent pre-generates every dataset the matrix needs (via the
-      same :func:`generated_input` cache) and ships the cache to each
-      worker through the pool initializer — dataset generation runs
-      exactly once per (workload, data seed) across the whole sweep;
-    * an optional ``chaos`` axis (a sequence of
-      :class:`~repro.failures.chaos.ChaosSchedule` or ``None`` entries)
-      expands the matrix to seed x scheme x chaos without callers
-      hand-rolling plan variants.
-
-    Cells remain independent seeded simulations, so the output is
-    byte-identical to the sequential runner, in the same
-    workload -> scheme -> chaos -> seed order.  ``jobs`` <= 1 runs the
-    expanded matrix sequentially (same order, same results).
-    """
-    plan = plan if plan is not None else ExperimentPlan()
-    plans = _chaos_variants(plan, chaos)
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs <= 1:
-        return [
-            run_workload_once(workload, scheme, seed, variant)
-            for workload in workloads
-            for scheme in schemes
-            for variant in plans
-            for seed in variant.seeds
-        ]
-    cells = [
-        (workload.name, scheme, seed, variant)
-        for workload in workloads
-        for scheme in schemes
-        for variant in plans
-        for seed in variant.seeds
-    ]
-    if not cells:
-        return []
-    # Pre-generate every dataset once, in the parent.
-    entries: Dict[Tuple[str, int], List[List[Any]]] = {}
-    for workload in workloads:
-        for variant in plans:
-            if variant.stream is not None:
-                continue  # stream cells generate no workload dataset
-            data_seeds = (
-                (variant.fixed_data_seed,)
-                if variant.fixed_data_seed is not None
-                else tuple(variant.seeds)
-            )
-            for data_seed in data_seeds:
-                key = (workload.name, data_seed)
-                if key not in entries:
-                    entries[key] = generated_input(workload, data_seed)
-    return shard_map(
-        cells,
-        _run_shard,
-        jobs=jobs,
-        shards=shards,
-        initializer=_prefill_worker_cache,
-        initargs=(entries,),
-    )

@@ -9,6 +9,8 @@ The model has three layers:
 * :mod:`repro.network.fabric` — the :class:`NetworkFabric` simulation
   component: start a transfer, get an event that fires on completion, with
   rates recomputed whenever flows start/finish or link capacity jitters.
+  Its vector drive scopes each event to one connected component of the
+  :class:`~repro.network.flow_graph.FlowGraph`.
 
 Cross-datacenter traffic accounting (Fig. 8 of the paper) lives in
 :mod:`repro.network.traffic_monitor`; the stochastic WAN bandwidth
@@ -18,7 +20,7 @@ fluctuation of §V-A lives in :mod:`repro.network.jitter`.
 from repro.network.topology import Datacenter, Host, Link, Topology
 from repro.network.fair_share import max_min_fair_rates, verify_allocation
 from repro.network.fabric import Flow, NetworkFabric
-from repro.network.incremental import IncrementalFairShare
+from repro.network.flow_graph import FlowGraph
 from repro.network.jitter import BandwidthJitter, JitterSpec
 from repro.network.traffic_monitor import TrafficMonitor
 
@@ -31,7 +33,7 @@ __all__ = [
     "verify_allocation",
     "Flow",
     "NetworkFabric",
-    "IncrementalFairShare",
+    "FlowGraph",
     "BandwidthJitter",
     "JitterSpec",
     "TrafficMonitor",

@@ -1,11 +1,11 @@
 """Cascade plans: precomputed departure schedules for the vector drive.
 
-The incremental drive (PR 1) re-solves the dirty connected component on
-*every* departure — one Python BFS, one scalar solve, one deadline-heap
-reshuffle per flow that drains.  But between external perturbations
-(arrivals, cancels, capacity changes) a component's future is fully
-determined: max-min fair sharing is a piecewise-linear fluid system, so
-the entire sequence of departures can be computed up front.  A
+Re-solving the dirty connected component on *every* departure costs
+one Python BFS and one scalar solve per flow that drains.  But between
+external perturbations (arrivals, cancels, capacity changes) a
+component's future is fully determined: max-min fair sharing is a
+piecewise-linear fluid system, so the entire sequence of departures can
+be computed up front.  A
 :class:`CascadePlan` is that precomputation — the segment boundaries,
 per-segment rates, and which flows drain at each boundary.  Departures
 then fire as bare precomputed timers
@@ -31,8 +31,7 @@ Two plan shapes:
 
 Replay is exact: each plan keeps the cumulative bytes delivered at
 every segment boundary, so ``remaining_at(pos, t)`` is one
-``searchsorted`` plus a fused multiply-add — the vector drive's
-equivalent of the incremental drive's lazy ``_charge``.
+``searchsorted`` plus a fused multiply-add.
 """
 
 from __future__ import annotations

@@ -12,34 +12,27 @@ to max-min fairness; rates are recomputed whenever
 
 Between recomputations every flow progresses linearly at its current rate.
 
-Three solver drives exist:
+Two solver drives exist:
 
-* **vector** (default) — on each perturbation the affected components'
-  entire departure schedules are precomputed as
-  :class:`~repro.network.cascade.CascadePlan`\\ s (numpy closed form for
-  uniform-route components, CSR progressive filling otherwise);
-  departures then fire as bare precomputed timers with **zero**
-  re-solves, and a later perturbation replays the plan to recover each
-  member's exact remaining bytes;
-* **incremental** (``incremental=True`` / ``drive="incremental"``) —
-  the PR 1 :class:`repro.network.incremental.IncrementalFairShare`
-  engine re-solves only the connected component of flows and links an
-  event touches, charges progress lazily per flow, and keeps projected
-  completions in a deadline heap, so the per-event cost scales with the
-  component, not the population;
-* **global** (``incremental=False`` / ``drive="global"``) — the
-  original from-scratch re-solve of every active flow on every event,
-  kept as the baseline for the equivalence tests and the speedup
-  microbenchmarks.
+* **vector** (default) — a :class:`~repro.network.flow_graph.FlowGraph`
+  scopes each perturbation to the connected components of flows and
+  links it touches, and those components' entire departure schedules
+  are precomputed as :class:`~repro.network.cascade.CascadePlan`\\ s
+  (numpy closed form for uniform-route components, CSR progressive
+  filling otherwise); departures then fire as bare precomputed timers
+  with **zero** re-solves, and a later perturbation replays the plan to
+  recover each member's exact remaining bytes;
+* **global** (``drive="global"``) — the original from-scratch re-solve
+  of every active flow on every event, kept as the reference for the
+  equivalence tests and the speedup microbenchmark.
 
-All three produce the same (unique) max-min allocation; same-instant
-flow arrivals and capacity changes are coalesced into a single solve.
-Stale wake-ups are detected with a version counter and ignored.
+Both produce the same (unique) max-min allocation; same-instant flow
+arrivals and capacity changes are coalesced into a single solve.  The
+global drive detects stale wake-ups with a version counter.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
@@ -50,7 +43,7 @@ from repro.metrics.perf import FabricPerfCounters
 from repro.metrics.tenants import TenantLedger
 from repro.network.cascade import CascadePlan, build_plan
 from repro.network.fair_share import max_min_fair_rates
-from repro.network.incremental import IncrementalFairShare
+from repro.network.flow_graph import FlowGraph
 from repro.network.topology import Link, Topology
 from repro.network.traffic_monitor import TrafficMonitor
 from repro.simulation.event import Event
@@ -86,8 +79,6 @@ class Flow:
         "rate",
         "started_at",
         "finished_at",
-        "charged_at",
-        "epoch",
     )
 
     def __init__(
@@ -121,12 +112,6 @@ class Flow:
         self.rate = 0.0
         self.started_at = started_at
         self.finished_at: Optional[float] = None
-        # ``remaining`` is exact as of ``charged_at``; the incremental
-        # drive charges lazily, only when the flow's rate changes.
-        self.charged_at = started_at
-        # Bumped whenever the rate (and hence projected deadline)
-        # changes; stale deadline-heap entries carry an old epoch.
-        self.epoch = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -144,24 +129,16 @@ class NetworkFabric:
         topology: Topology,
         monitor: Optional[TrafficMonitor] = None,
         wan_flow_cap: Optional[float] = None,
-        incremental: Optional[bool] = None,
-        drive: Optional[str] = None,
+        drive: str = "vector",
     ) -> None:
         """``wan_flow_cap`` bounds any single WAN-crossing flow's rate
         (bytes/second), modelling TCP throughput over high-RTT paths —
         a single stream cannot fill an inter-region link even when the
         link itself is idle.
 
-        ``drive`` selects the solver drive (``"vector"`` when omitted);
-        the legacy ``incremental`` flag keeps working as shorthand for
-        ``drive="incremental"`` / ``drive="global"``.
+        ``drive`` selects the solver drive: ``"vector"`` or ``"global"``.
         """
-        if drive is None:
-            if incremental is None:
-                drive = "vector"
-            else:
-                drive = "incremental" if incremental else "global"
-        if drive not in ("vector", "incremental", "global"):
+        if drive not in ("vector", "global"):
             raise ValueError(f"unknown fabric drive: {drive!r}")
         self.sim = sim
         self.topology = topology
@@ -183,36 +160,30 @@ class NetworkFabric:
         # per-tenant totals once all flows have landed.
         self.tenant_ledger = TenantLedger()
         self.drive = drive
-        incremental = drive != "global"
-        self._incremental = incremental
         # link name -> health-advised capacity ceiling (circuit-breaker
-        # hints); shared by reference with the incremental engine so a
-        # mutation here clamps its next capacity read.
+        # hints); shared by reference with the flow graph so a mutation
+        # here clamps its next capacity read.
         self._capacity_hints: Dict[str, float] = {}
-        self._engine: Optional[IncrementalFairShare] = (
-            IncrementalFairShare(
-                wan_flow_cap=wan_flow_cap,
-                counters=self.perf,
-                hints=self._capacity_hints,
-            )
-            if incremental
+        # The vector drive's flow<->link graph; None on the global drive.
+        self._graph: Optional[FlowGraph] = (
+            FlowGraph(wan_flow_cap=wan_flow_cap, hints=self._capacity_hints)
+            if drive == "vector"
             else None
         )
         self._flows: Dict[int, Flow] = {}
         self._flow_by_event: Dict[Event, Flow] = {}
         self._flow_ids = itertools.count()
-        self._last_update = sim.now
-        self._wake_version = 0
         self._recompute_pending = False
-        # Event batching (incremental drive): seeds of the next solve.
+        # Event batching (vector drive): seeds of the next re-plan.
         self._dirty_flows: Set[int] = set()
         self._dirty_links: Set[str] = set()
         self._dirty_all = False
-        # Deadline heap of (projected finish, flow id, epoch) —
-        # incremental drive only.
-        self._deadlines: List[Tuple[float, int, int]] = []
         # flow id -> its live CascadePlan — vector drive only.
         self._plans: Dict[int, CascadePlan] = {}
+        # Global drive: progress is charged up to ``_last_update``, and
+        # ``_wake_version`` retires superseded wake-ups.
+        self._last_update = sim.now
+        self._wake_version = 0
         self.completed_flows: List[Flow] = []
 
     # ------------------------------------------------------------------
@@ -271,8 +242,8 @@ class NetworkFabric:
         self._flows[flow_id] = flow
         self._flow_by_event[completion] = flow
         self.perf.note_admission(len(self._flows))
-        if self._engine is not None:
-            self._engine.add_flow(flow_id, route, weight=weight)
+        if self._graph is not None:
+            self._graph.add_flow(flow_id, route, weight=weight)
             self._dirty_flows.add(flow_id)
         else:
             self._advance_progress()
@@ -292,12 +263,11 @@ class NetworkFabric:
 
     def active_flows(self) -> List[Flow]:
         """The in-flight flows, with ``remaining`` charged up to now."""
-        if self.drive == "vector":
+        if self._graph is not None:
             for flow in self._flows.values():
                 self._sync_flow(flow)
-        elif self._engine is not None:
-            for flow in self._flows.values():
-                self._charge(flow)
+        else:
+            self._advance_progress()
         return list(self._flows.values())
 
     def current_rate(self, flow_event: Event) -> float:
@@ -305,7 +275,7 @@ class NetworkFabric:
         flow = self._flow_by_event.get(flow_event)
         if flow is None:
             return 0.0
-        if self.drive == "vector":
+        if self._graph is not None:
             self._sync_flow(flow)
         return flow.rate
 
@@ -324,9 +294,8 @@ class NetworkFabric:
             if changed_links is not None:
                 self.perf.jitter_noops += 1
             return
-        if self._engine is None:
-            self._advance_progress()
-            self._reschedule_global()
+        if self._graph is None:
+            self._on_wake_global()
             return
         if changed_links is None:
             self._dirty_all = True
@@ -334,7 +303,7 @@ class NetworkFabric:
             return
         touched = False
         for link in changed_links:
-            if self._engine.update_capacity(link):
+            if self._graph.update_capacity(link):
                 self._dirty_links.add(link.name)
                 touched = True
         if touched:
@@ -402,7 +371,7 @@ class NetworkFabric:
         flow = self._flow_by_event.get(flow_event)
         if flow is None:
             return None
-        if self.drive == "vector":
+        if self._graph is not None:
             # Replay the plan up to now for the exact delivered bytes,
             # then invalidate it: the survivors' schedules change once
             # the cancelled flow's share frees up, so they re-enter the
@@ -415,18 +384,13 @@ class NetworkFabric:
                     fid for fid in plan.flow_ids if fid in self._flows
                 )
                 self._dirty_flows.discard(flow.flow_id)
-        elif self._engine is not None:
-            self._charge(flow)
+            self._graph.remove_flow(flow.flow_id)
+            self._dirty_links.update(link.name for link in flow.route)
         else:
             self._advance_progress()
         del self._flows[flow.flow_id]
         del self._flow_by_event[flow.completion]
-        if self._engine is not None:
-            self._engine.remove_flow(flow.flow_id)
-            self._dirty_links.update(link.name for link in flow.route)
-        # Freed capacity redistributes to the survivors (global drive
-        # re-solves everything; stale deadline-heap entries for the
-        # removed id are skipped on pop).
+        # Freed capacity redistributes to the survivors.
         self._schedule_recompute()
         flow.finished_at = self.sim.now
         delivered = flow.size_bytes - flow.remaining
@@ -462,15 +426,15 @@ class NetworkFabric:
         """The global (routes, capacities) dicts describing the current
         active set — feed to :func:`max_min_fair_rates` to cross-check
         allocations (used by the equivalence tests)."""
-        if self._engine is not None:
-            return self._engine.solver_inputs()
+        if self._graph is not None:
+            return self._graph.solver_inputs()
         return self._build_solver_inputs()
 
     def solver_weights(self) -> Optional[Dict[int, float]]:
         """The active set's flow-weight mapping, or ``None`` when every
         active flow weighs 1.0 (the unweighted fast path)."""
-        if self._engine is not None:
-            return self._engine.solver_weights()
+        if self._graph is not None:
+            return self._graph.solver_weights()
         weights = {
             flow_id: flow.weight
             for flow_id, flow in self._flows.items()
@@ -499,11 +463,8 @@ class NetworkFabric:
     def _run_recompute(self, _event) -> None:
         self._recompute_pending = False
         self.perf.events += 1
-        if self._engine is None:
-            self._advance_progress()
-            self._reschedule_global()
-        elif self.drive == "vector":
-            self._resolve_dirty_vector()
+        if self._graph is None:
+            self._on_wake_global()
         else:
             self._resolve_dirty()
 
@@ -546,7 +507,6 @@ class NetworkFabric:
         pos = plan.pos_of[flow.flow_id]
         flow.remaining = plan.remaining_at(pos, now)
         flow.rate = plan.rate_at(pos, now)
-        flow.charged_at = now
         if self.sanitizer is not None:
             self.sanitizer.check_remaining(flow.flow_id, flow.remaining)
 
@@ -566,17 +526,16 @@ class NetworkFabric:
                 continue
             flow.remaining = plan.remaining_at(pos, now)
             flow.rate = plan.rate_at(pos, now)
-            flow.charged_at = now
             if self._plans.get(flow_id) is plan:
                 del self._plans[flow_id]
 
-    def _resolve_dirty_vector(self) -> None:
+    def _resolve_dirty(self) -> None:
         """Invalidate perturbed plans, retire drained flows, and build
         fresh cascade plans per connected component."""
-        engine = self._engine
-        assert engine is not None
+        graph = self._graph
+        assert graph is not None
         if self._dirty_all:
-            self._dirty_links |= engine.refresh_capacities()
+            self._dirty_links |= graph.refresh_capacities()
             self._dirty_all = False
         dirty_flows, self._dirty_flows = self._dirty_flows, set()
         dirty_links, self._dirty_links = self._dirty_links, set()
@@ -586,7 +545,7 @@ class NetworkFabric:
         # exactly once during partitioning below).
         seeds = {f for f in dirty_flows if f in self._flows}
         for name in dirty_links:
-            seeds.update(engine.flows_on(name))
+            seeds.update(graph.flows_on(name))
         # A plan may span flows a component BFS no longer reaches (the
         # component split mid-plan); the whole plan dies, so all its
         # still-active members get re-planned too.  Plans are iterated
@@ -618,7 +577,7 @@ class NetworkFabric:
             cursor += 1
             if seed in visited or seed not in self._flows:
                 continue
-            component = engine.component((seed,), ())
+            component = graph.component(seed)
             visited |= component
             # Invalidate plans of flows pulled in via connectivity that
             # were not dirty seeds themselves (charges them to now).
@@ -651,20 +610,17 @@ class NetworkFabric:
                 continue
             members = sorted(component)
             remaining = [self._flows[f].remaining for f in members]
-            routes, capacities = engine.subproblem(members)
+            routes, capacities = graph.subproblem(members)
             plan = build_plan(
                 members,
                 remaining,
                 routes,
                 capacities,
                 now,
-                weights=engine.weights_for(members),
+                weights=graph.weights_for(members),
             )
             for pos, flow_id in enumerate(plan.flow_ids):
-                flow = self._flows[flow_id]
-                flow.rate = plan.initial_rate(pos)
-                flow.charged_at = now
-                flow.epoch += 1
+                self._flows[flow_id].rate = plan.initial_rate(pos)
                 self._plans[flow_id] = plan
             if self.sanitizer is not None:
                 self.sanitizer.check_rates(
@@ -694,7 +650,6 @@ class NetworkFabric:
             if not plan.alive:  # pragma: no cover - timers are cancelled
                 return
             self.perf.events += 1
-            now = self.sim.now
             flows = self._flows
             plans = self._plans
             flow_ids = plan.flow_ids
@@ -704,7 +659,6 @@ class NetworkFabric:
                 if flow is None:
                     continue
                 flow.remaining = 0.0
-                flow.charged_at = now
                 if plans.get(flow_id) is plan:
                     del plans[flow_id]
                 self._depart(flow)
@@ -713,134 +667,16 @@ class NetworkFabric:
 
         return fire
 
-    # ------------------------------------------------------------------
-    # Incremental drive
-    # ------------------------------------------------------------------
-    def _charge(self, flow: Flow) -> None:
-        """Charge the flow for time elapsed at its current rate."""
-        elapsed = self.sim.now - flow.charged_at
-        if elapsed > 0:
-            flow.remaining -= flow.rate * elapsed
-            if flow.remaining < 0:
-                flow.remaining = 0.0
-            flow.charged_at = self.sim.now
-            if self.sanitizer is not None:
-                self.sanitizer.check_remaining(flow.flow_id, flow.remaining)
-
     def _depart(self, flow: Flow) -> None:
         """Remove a drained flow from the graph and complete it."""
         del self._flows[flow.flow_id]
         del self._flow_by_event[flow.completion]
-        assert self._engine is not None
-        self._engine.remove_flow(flow.flow_id)
+        assert self._graph is not None
+        self._graph.remove_flow(flow.flow_id)
         self._finish_flow(flow, extra_delay=flow.latency)
 
-    def _resolve_dirty(self) -> None:
-        """Charge, retire, and re-solve the dirty connected component."""
-        engine = self._engine
-        assert engine is not None
-        if self._dirty_all:
-            self._dirty_links |= engine.refresh_capacities()
-            self._dirty_all = False
-        dirty_flows, self._dirty_flows = self._dirty_flows, set()
-        dirty_links, self._dirty_links = self._dirty_links, set()
-        component = engine.component(dirty_flows, dirty_links)
-        if not component:
-            self._schedule_wake()
-            return
-        for flow_id in component:
-            self._charge(self._flows[flow_id])
-        for flow_id in [
-            flow_id
-            for flow_id in component
-            if self._flows[flow_id].remaining
-            <= _drain_threshold(self._flows[flow_id].size_bytes)
-        ]:
-            component.discard(flow_id)
-            self._depart(self._flows[flow_id])
-        if component:
-            engine.solve(component)
-            now = self.sim.now
-            for flow_id in component:
-                flow = self._flows[flow_id]
-                flow.rate = engine.rate(flow_id)
-                flow.epoch += 1
-                heapq.heappush(
-                    self._deadlines,
-                    (now + flow.remaining / flow.rate, flow_id, flow.epoch),
-                )
-            if self.sanitizer is not None:
-                members = sorted(component)
-                routes, capacities = engine.subproblem(members)
-                self.sanitizer.check_rates(
-                    {f: engine.rate(f) for f in members}, routes, capacities
-                )
-        self._schedule_wake()
-
-    def _schedule_wake(self) -> None:
-        """Plan the next wake at the earliest live projected completion."""
-        heap = self._deadlines
-        while heap:
-            _deadline, flow_id, epoch = heap[0]
-            flow = self._flows.get(flow_id)
-            if flow is None or flow.epoch != epoch:
-                heapq.heappop(heap)
-                continue
-            break
-        self._wake_version += 1
-        if not heap:
-            return
-        deadline, flow_id, _epoch = heap[0]
-        head = self._flows[flow_id]
-        delay = deadline - self.sim.now
-        # Progress floor: guarantee the head flow moves at least
-        # _DRAIN_FLOOR bytes per wake so float residue cannot stall the
-        # clock (mirrors the legacy horizon floor).
-        floor = _DRAIN_FLOOR / head.rate if head.rate > 0 else _DRAIN_FLOOR
-        if delay < floor:
-            delay = floor
-        version = self._wake_version
-        wake = self.sim.timeout(delay, name=f"fabric:wake@{version}")
-        wake.add_callback(lambda _event: self._on_wake(version))
-
-    def _on_wake(self, version: int) -> None:
-        if version != self._wake_version:
-            return  # superseded by a newer reschedule
-        self.perf.events += 1
-        now = self.sim.now
-        # Entries within a few ulps of now are due; early pops are safe
-        # (an undrained flow is simply re-queued at its true deadline).
-        horizon = now + 1e-12 * max(1.0, now)
-        heap = self._deadlines
-        departures = False
-        while heap:
-            deadline, flow_id, epoch = heap[0]
-            flow = self._flows.get(flow_id)
-            if flow is None or flow.epoch != epoch:
-                heapq.heappop(heap)
-                continue
-            if deadline > horizon:
-                break
-            heapq.heappop(heap)
-            self._charge(flow)
-            if flow.remaining <= _drain_threshold(flow.size_bytes):
-                self._dirty_links.update(link.name for link in flow.route)
-                self._depart(flow)
-                departures = True
-            else:
-                flow.epoch += 1
-                heapq.heappush(
-                    heap, (now + flow.remaining / flow.rate, flow_id, flow.epoch)
-                )
-        if departures:
-            # Departures free capacity: re-solve their components (the
-            # trigger coalesces with any same-instant arrivals).
-            self._schedule_recompute()
-        else:
-            self._schedule_wake()
-
     # ------------------------------------------------------------------
-    # Legacy global drive (baseline; also the reference in tests)
+    # Global drive (the reference in tests and benchmarks)
     # ------------------------------------------------------------------
     def _advance_progress(self) -> None:
         """Charge each active flow for the time elapsed at its old rate."""
@@ -922,12 +758,16 @@ class NetworkFabric:
         self._wake_version += 1
         version = self._wake_version
         wake = self.sim.timeout(horizon, name=f"fabric:wake@{version}")
-        wake.add_callback(lambda _event: self._on_wake_global(version))
+        wake.add_callback(lambda _event: self._on_wake(version))
 
-    def _on_wake_global(self, version: int) -> None:
+    def _on_wake(self, version: int) -> None:
         if version != self._wake_version:
             return  # superseded by a newer reschedule
         self.perf.events += 1
+        self._on_wake_global()
+
+    def _on_wake_global(self) -> None:
+        """Charge progress up to now, then retire, re-solve, and re-arm."""
         self._advance_progress()
         self._reschedule_global()
 

@@ -1,10 +1,10 @@
 """Parallel experiment harness: identical output to the sequential path.
 
 Every (workload, scheme, seed) cell is an independent, seeded,
-deterministic simulation, so fanning the matrix out over a process pool
-must change *nothing* about the results — same ordering, same float
-values, same derived figure statistics.  ``solver_seconds`` inside the
-fabric perf counters is wall-clock time and is excluded from the
+deterministic simulation, so fanning the matrix out over worker
+processes must change *nothing* about the results — same ordering, same
+float values, same derived figure statistics.  ``solver_seconds`` inside
+the fabric perf counters is wall-clock time and is excluded from the
 comparison; every other counter is deterministic and compared exactly.
 """
 
@@ -12,17 +12,19 @@ import dataclasses
 
 import pytest
 
+from repro.config import SimulationConfig
 from repro.experiments.figures import fig7_job_completion_times
 from repro.experiments.runner import (
     ExperimentPlan,
     clear_data_cache,
     run_matrix,
-    run_matrix_parallel,
-    run_matrix_sharded,
 )
 from repro.experiments.schemes import Scheme
 from repro.failures.chaos import ChaosEvent, ChaosSchedule
 from repro.workloads import workload_by_name
+
+# jobs=3 splits the 4-cell matrix into uneven slices (2 + 1 + 1).
+JOBS = (1, 2, 3)
 
 
 @pytest.fixture(autouse=True)
@@ -32,11 +34,17 @@ def _clean():
     clear_data_cache()
 
 
-def _small_matrix(runner, **kwargs):
-    plan = ExperimentPlan(seeds=(0, 1))
+def _small_matrix(plan, schemes=(Scheme.SPARK, Scheme.AGGSHUFFLE), jobs=1):
+    clear_data_cache()
     workloads = [workload_by_name("wordcount")]
-    schemes = [Scheme.SPARK, Scheme.AGGSHUFFLE]
-    return runner(workloads, schemes, plan, **kwargs)
+    return run_matrix(workloads, list(schemes), plan, jobs=jobs)
+
+
+@pytest.fixture(scope="module")
+def matrices():
+    """jobs -> results of one 4-cell matrix (2 schemes x 2 seeds)."""
+    plan = ExperimentPlan(seeds=(0, 1))
+    return {jobs: _small_matrix(plan, jobs=jobs) for jobs in JOBS}
 
 
 def _comparable(result):
@@ -50,66 +58,21 @@ def _comparable(result):
     return data
 
 
-def test_parallel_matrix_is_identical_to_sequential():
-    sequential = _small_matrix(run_matrix)
-    clear_data_cache()
-    parallel = _small_matrix(run_matrix_parallel, jobs=2)
-    assert len(sequential) == len(parallel)
-    for seq, par in zip(sequential, parallel):
-        assert _comparable(seq) == _comparable(par)
-    # The derived figure statistics are byte-identical.
-    assert repr(fig7_job_completion_times(sequential)) == repr(
-        fig7_job_completion_times(parallel)
-    )
+def test_parallel_matrix_is_identical_to_sequential(matrices):
+    sequential = matrices[1]
+    for jobs in JOBS[1:]:
+        parallel = matrices[jobs]
+        assert len(parallel) == len(sequential) == 4
+        for seq, par in zip(sequential, parallel):
+            assert _comparable(seq) == _comparable(par)
+        # The derived figure statistics are byte-identical.
+        assert repr(fig7_job_completion_times(sequential)) == repr(
+            fig7_job_completion_times(parallel)
+        )
 
 
-def test_jobs_of_one_falls_back_to_sequential_runner():
-    results = _small_matrix(run_matrix_parallel, jobs=1)
-    assert len(results) == 4
-    assert [r.scheme for r in results] == [
-        Scheme.SPARK,
-        Scheme.SPARK,
-        Scheme.AGGSHUFFLE,
-        Scheme.AGGSHUFFLE,
-    ]
-    assert [r.seed for r in results] == [0, 1, 0, 1]
-
-
-def test_parallel_results_preserve_matrix_order():
-    parallel = _small_matrix(run_matrix_parallel, jobs=2)
-    assert [(r.workload, r.scheme, r.seed) for r in parallel] == [
-        ("WordCount", Scheme.SPARK, 0),
-        ("WordCount", Scheme.SPARK, 1),
-        ("WordCount", Scheme.AGGSHUFFLE, 0),
-        ("WordCount", Scheme.AGGSHUFFLE, 1),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Sharded harness: contiguous shards + parent-side dataset generation
-# ---------------------------------------------------------------------------
-def test_sharded_matrix_is_identical_to_serial_and_parallel():
-    sequential = _small_matrix(run_matrix)
-    clear_data_cache()
-    parallel = _small_matrix(run_matrix_parallel, jobs=2)
-    clear_data_cache()
-    sharded = _small_matrix(run_matrix_sharded, jobs=2)
-    clear_data_cache()
-    # An uneven shard split must not change anything either.
-    sharded_odd = _small_matrix(run_matrix_sharded, jobs=2, shards=3)
-    assert len(sequential) == len(parallel) == len(sharded) == len(sharded_odd)
-    for seq, par, sha, odd in zip(sequential, parallel, sharded, sharded_odd):
-        assert _comparable(seq) == _comparable(par)
-        assert _comparable(seq) == _comparable(sha)
-        assert _comparable(seq) == _comparable(odd)
-    assert repr(fig7_job_completion_times(sequential)) == repr(
-        fig7_job_completion_times(sharded)
-    )
-
-
-def test_sharded_jobs_of_one_runs_sequentially():
-    results = _small_matrix(run_matrix_sharded, jobs=1)
-    assert [(r.scheme, r.seed) for r in results] == [
+def test_jobs_of_one_falls_back_to_sequential_runner(matrices):
+    assert [(r.scheme, r.seed) for r in matrices[1]] == [
         (Scheme.SPARK, 0),
         (Scheme.SPARK, 1),
         (Scheme.AGGSHUFFLE, 0),
@@ -117,9 +80,20 @@ def test_sharded_jobs_of_one_runs_sequentially():
     ]
 
 
-def test_sharded_chaos_axis_expands_and_matches_sequential():
-    """The chaos axis multiplies the matrix (scheme x chaos x seed) and
-    stays byte-identical between the sequential and sharded paths."""
+def test_parallel_results_preserve_matrix_order(matrices):
+    for jobs in JOBS[1:]:
+        assert [(r.workload, r.scheme, r.seed) for r in matrices[jobs]] == [
+            ("WordCount", Scheme.SPARK, 0),
+            ("WordCount", Scheme.SPARK, 1),
+            ("WordCount", Scheme.AGGSHUFFLE, 0),
+            ("WordCount", Scheme.AGGSHUFFLE, 1),
+        ]
+
+
+def test_chaos_plan_matches_across_jobs():
+    """A plan whose base config carries a chaos schedule stays
+    byte-identical between the sequential and parallel paths, and the
+    schedule actually fires in every cell."""
     degrade = ChaosSchedule(
         (
             ChaosEvent(
@@ -131,20 +105,13 @@ def test_sharded_chaos_axis_expands_and_matches_sequential():
             ),
         )
     )
-    chaos_axis = [None, degrade]
-    plan = ExperimentPlan(seeds=(0,))
-    workloads = [workload_by_name("wordcount")]
-    schemes = [Scheme.SPARK]
-    sequential = run_matrix_sharded(
-        workloads, schemes, plan, jobs=1, chaos=chaos_axis
+    plan = dataclasses.replace(
+        ExperimentPlan(seeds=(0, 1)),
+        base_config=SimulationConfig().with_chaos(degrade),
     )
-    clear_data_cache()
-    sharded = run_matrix_sharded(
-        workloads, schemes, plan, jobs=2, chaos=chaos_axis
-    )
-    assert len(sequential) == len(sharded) == 2
-    for seq, sha in zip(sequential, sharded):
-        assert _comparable(seq) == _comparable(sha)
-    # The degrade variant actually fired its event.
-    assert sequential[0].chaos_events_applied == 0
-    assert sequential[1].chaos_events_applied == 1
+    sequential = _small_matrix(plan, schemes=(Scheme.SPARK,), jobs=1)
+    parallel = _small_matrix(plan, schemes=(Scheme.SPARK,), jobs=2)
+    assert len(sequential) == len(parallel) == 2
+    for seq, par in zip(sequential, parallel):
+        assert _comparable(seq) == _comparable(par)
+        assert seq.chaos_events_applied == 1

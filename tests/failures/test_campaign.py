@@ -279,7 +279,7 @@ def test_artifact_replay_is_identical_across_serial_parallel_sharded(tmp_path):
     ]
     serial = shard_map(cells, _run_campaign_shard, jobs=1)
     parallel = shard_map(cells, _run_campaign_shard, jobs=2)
-    sharded = shard_map(cells, _run_campaign_shard, jobs=2, shards=3)
+    sharded = shard_map(cells, _run_campaign_shard, jobs=3)
     assert serial == parallel == sharded
     for outcome in serial:
         assert outcome.violations == ()

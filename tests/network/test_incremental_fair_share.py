@@ -1,7 +1,7 @@
-"""The incremental fair-share engine: equivalence and scoping.
+"""Component scoping on the default (vector) drive: equivalence and scope.
 
-The max-min allocation is unique, so the component-scoped incremental
-engine must produce rates *identical* (within float tolerance) to a
+The max-min allocation is unique, so the component-scoped vector drive
+must produce rates *identical* (within float tolerance) to a
 from-scratch :func:`max_min_fair_rates` solve at every instant, for
 arbitrary arrival/departure/jitter sequences — that equivalence is the
 safety net under the whole perf optimisation and is property-tested
@@ -22,7 +22,7 @@ HOSTS = ["A0", "A1", "B0", "B1", "C0", "C1"]
 WAN_PAIRS = [("A", "B"), ("A", "C"), ("B", "C")]
 
 
-def build_mesh(incremental=True):
+def build_mesh(drive="vector"):
     """Three fully-meshed DCs, two hosts each (one shared component)."""
     sim = Simulator()
     topo = Topology()
@@ -34,11 +34,11 @@ def build_mesh(incremental=True):
             )
     for src, dst in WAN_PAIRS:
         topo.connect_datacenters(src, dst, 100 * MBPS, latency=0.0)
-    fabric = NetworkFabric(sim, topo, incremental=incremental)
+    fabric = NetworkFabric(sim, topo, drive=drive)
     return sim, topo, fabric
 
 
-def build_pairs(num_pairs=3, incremental=True):
+def build_pairs(num_pairs=3, drive="vector"):
     """Disjoint DC pairs (P0a-P0b, P1a-P1b, ...): one component each."""
     sim = Simulator()
     topo = Topology()
@@ -55,7 +55,7 @@ def build_pairs(num_pairs=3, incremental=True):
         topo.connect_datacenters(
             f"P{pair}a", f"P{pair}b", 100 * MBPS, latency=0.0
         )
-    fabric = NetworkFabric(sim, topo, incremental=incremental)
+    fabric = NetworkFabric(sim, topo, drive=drive)
     return sim, topo, fabric
 
 
@@ -72,17 +72,16 @@ def spawn_transfers(sim, fabric, transfers, finished=None):
 
 
 def assert_rates_match_scratch_solve(fabric):
-    """The engine's frozen rates equal a from-scratch global solve."""
+    """The drive's current rates equal a from-scratch global solve
+    (``active_flows()`` replays the vector drive's plans up to now)."""
     routes, capacities = fabric.solver_inputs()
     if not routes:
         return
     expected = max_min_fair_rates(routes, capacities)
-    actual = {
-        flow_id: flow.rate for flow_id, flow in fabric._flows.items()
-    }
+    actual = {flow.flow_id: flow.rate for flow in fabric.active_flows()}
     for flow_id, rate in expected.items():
         assert actual[flow_id] == pytest.approx(rate, rel=1e-9), (
-            f"flow {flow_id}: incremental {actual[flow_id]} "
+            f"flow {flow_id}: {fabric.drive} {actual[flow_id]} "
             f"!= scratch {rate}"
         )
     verify_allocation(routes, capacities, actual, tolerance=1e-6)
@@ -154,7 +153,7 @@ def test_incremental_rates_equal_scratch_solve(transfers, jitters):
     """After arbitrary arrival/departure/jitter sequences the engine's
     rates are the unique max-min allocation (checked against a global
     from-scratch solve plus verify_allocation)."""
-    sim, topo, fabric = build_mesh(incremental=True)
+    sim, topo, fabric = build_mesh()
     for _checkpoint in _apply_ops(sim, topo, fabric, transfers, jitters):
         assert_rates_match_scratch_solve(fabric)
     assert fabric.active_flow_count == 0
@@ -164,11 +163,11 @@ def test_incremental_rates_equal_scratch_solve(transfers, jitters):
 @given(transfers_strategy, jitter_strategy)
 @settings(max_examples=25, deadline=None)
 def test_incremental_completions_match_global_path(transfers, jitters):
-    """Completion times are identical between the incremental engine and
-    the legacy global re-solve drive."""
+    """Completion times are identical between the vector drive and the
+    global re-solve drive."""
     finish = {}
-    for incremental in (True, False):
-        sim, topo, fabric = build_mesh(incremental=incremental)
+    for drive in ("vector", "global"):
+        sim, topo, fabric = build_mesh(drive)
         finished = {}
         spawn_transfers(sim, fabric, transfers, finished)
         links = _directed_wan_links(topo)
@@ -187,11 +186,11 @@ def test_incremental_completions_match_global_path(transfers, jitters):
 
         sim.spawn(jitter_proc(sim))
         sim.run()
-        finish[incremental] = finished
-    assert finish[True].keys() == finish[False].keys()
-    for index in finish[True]:
-        assert finish[True][index] == pytest.approx(
-            finish[False][index], rel=1e-6, abs=1e-9
+        finish[drive] = finished
+    assert finish["vector"].keys() == finish["global"].keys()
+    for index in finish["vector"]:
+        assert finish["vector"][index] == pytest.approx(
+            finish["global"][index], rel=1e-6, abs=1e-9
         )
 
 

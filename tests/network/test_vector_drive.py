@@ -16,8 +16,6 @@ from repro.network.fabric import NetworkFabric
 from repro.network.topology import GBPS, MBPS, Topology
 from repro.simulation import Simulator
 
-DRIVES = ("vector", "incremental", "global")
-
 
 def _build(drive, wan_flow_cap=None):
     sim = Simulator()
@@ -51,14 +49,13 @@ def _run_scenario(scenario, drive, wan_flow_cap=None):
 def _assert_equivalent(scenario, wan_flow_cap=None):
     oracle = _run_scenario(scenario, "global", wan_flow_cap=wan_flow_cap)
     assert oracle  # scenario must complete something
-    for drive in ("vector", "incremental"):
-        got = _run_scenario(scenario, drive, wan_flow_cap=wan_flow_cap)
-        assert got.keys() == oracle.keys()
-        for label, expected in oracle.items():
-            assert got[label] == pytest.approx(expected, rel=1e-9), (
-                f"{drive}: {label} finished at {got[label]}, "
-                f"global says {expected}"
-            )
+    got = _run_scenario(scenario, "vector", wan_flow_cap=wan_flow_cap)
+    assert got.keys() == oracle.keys()
+    for label, expected in oracle.items():
+        assert got[label] == pytest.approx(expected, rel=1e-9), (
+            f"vector: {label} finished at {got[label]}, "
+            f"global says {expected}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -122,11 +119,10 @@ def test_cancel_mid_plan():
     oracle_refund, oracle_done = refunds("global")
     # 3 flows share 100 Mbps for 0.2 s -> flow 0 moved ~0.83 MB of 8 MB.
     assert 0 < oracle_refund < 8e6
-    for drive in ("vector", "incremental"):
-        refund, done = refunds(drive)
-        assert refund == pytest.approx(oracle_refund, rel=1e-9)
-        for label, expected in oracle_done.items():
-            assert done[label] == pytest.approx(expected, rel=1e-9)
+    refund, done = refunds("vector")
+    assert refund == pytest.approx(oracle_refund, rel=1e-9)
+    for label, expected in oracle_done.items():
+        assert done[label] == pytest.approx(expected, rel=1e-9)
 
 
 def test_capacity_change_mid_plan():
@@ -212,11 +208,22 @@ def test_drive_flag_resolution():
     sim, topo, fabric = _build("vector")
     assert fabric.drive == "vector"
     assert NetworkFabric(Simulator(), topo).drive == "vector"
-    assert NetworkFabric(Simulator(), topo, incremental=True).drive == (
-        "incremental"
-    )
-    assert NetworkFabric(Simulator(), topo, incremental=False).drive == (
-        "global"
-    )
-    with pytest.raises(ValueError):
-        NetworkFabric(Simulator(), topo, drive="warp")
+    assert NetworkFabric(Simulator(), topo, drive="global").drive == "global"
+    for retired in ("incremental", "warp"):
+        with pytest.raises(ValueError):
+            NetworkFabric(Simulator(), topo, drive=retired)
+    with pytest.raises(TypeError):
+        NetworkFabric(Simulator(), topo, incremental=True)
+
+
+@pytest.mark.parametrize("drive", ("vector", "global"))
+def test_active_flows_charge_progress_to_now(drive):
+    """``active_flows()`` reports ``remaining`` charged up to now on
+    both drives."""
+    sim, _topo, fabric = _build(drive)
+    size = 25e6
+    fabric.transfer("a1", "b1", size)
+    sim.run(until=0.5)
+    (flow,) = fabric.active_flows()
+    assert flow.rate == pytest.approx(100 * MBPS)
+    assert flow.remaining == pytest.approx(size - flow.rate * 0.5, rel=1e-12)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network.fair_share import max_min_fair_rates, verify_allocation
-from repro.network.incremental import IncrementalFairShare
+from repro.network.flow_graph import FlowGraph
 from repro.network.topology import Link
 from repro.network.vector_solver import max_min_fair_rates_numpy
 
@@ -126,23 +126,22 @@ def test_vectorized_allocation_is_feasible(scenario):
 
 
 # ----------------------------------------------------------------------
-# Duplicate links through the incremental engine (regression: the old
+# Duplicate links through the flow graph (regression: the old
 # remove_flow raised KeyError unwinding the second occurrence)
 # ----------------------------------------------------------------------
 def test_incremental_engine_handles_duplicate_links():
-    engine = IncrementalFairShare()
+    graph = FlowGraph()
     wan = Link("wan", 10.0, is_wan=True)
     side = Link("side", 50.0)
-    engine.add_flow(1, [wan, side, wan])
-    engine.add_flow(2, [wan])
-    engine.solve({1, 2})
-    scalar = max_min_fair_rates(*engine.solver_inputs())
-    assert engine.rate(1) == pytest.approx(scalar[1])
-    assert engine.rate(2) == pytest.approx(scalar[2])
+    graph.add_flow(1, [wan, side, wan])
+    graph.add_flow(2, [wan])
+    assert graph.component(1) == {1, 2}
+    rates = max_min_fair_rates(*graph.subproblem([1, 2]))
     # 2*r1 + r2 = 10 with r1 = r2 -> both 10/3.
-    assert engine.rate(1) == pytest.approx(10.0 / 3.0)
-    engine.remove_flow(1)  # must not KeyError on the repeated link
-    engine.solve({2})
-    assert engine.rate(2) == pytest.approx(10.0)
-    engine.remove_flow(2)
-    assert engine.flow_count == 0
+    assert rates[1] == pytest.approx(10.0 / 3.0)
+    assert rates[2] == pytest.approx(10.0 / 3.0)
+    graph.remove_flow(1)  # must not KeyError on the repeated link
+    assert max_min_fair_rates(*graph.subproblem([2])) == {2: 10.0}
+    graph.remove_flow(2)
+    assert graph.solver_inputs() == ({}, {})
+    assert graph.solver_weights() is None

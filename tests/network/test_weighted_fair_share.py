@@ -1,9 +1,9 @@
-"""Weighted max-min fair share: all three solvers must agree to 1e-9.
+"""Weighted max-min fair share: the solvers must agree to 1e-9.
 
 Per-tenant WAN quotas make every flow carry a weight; the scalar
-progressive-filling oracle, the incremental engine, and the numpy CSR
-kernel (and the cascade plans built on it) all thread weights through
-their fill loops.  These tests pin the semantics — rate ratios follow
+progressive-filling oracle and the numpy CSR kernel (and the cascade
+plans built on it) both thread weights through their fill loops, and
+the flow graph hands each component's weights to them.  These tests pin the semantics — rate ratios follow
 weight ratios on shared bottlenecks, duplicate-link routes charge per
 occurrence times weight — and the equivalence contract on random
 topologies with random non-uniform weights.
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network.fabric import NetworkFabric
 from repro.network.fair_share import max_min_fair_rates, verify_allocation
-from repro.network.incremental import IncrementalFairShare
+from repro.network.flow_graph import FlowGraph
 from repro.network.topology import GBPS, MBPS, Link, Topology
 from repro.network.vector_solver import max_min_fair_rates_numpy
 from repro.simulation import Simulator
@@ -119,7 +119,7 @@ def test_equal_weights_match_unweighted_shape():
 
 
 # ----------------------------------------------------------------------
-# Property-based: the three-solver weighted contract
+# Property-based: the weighted solver contract
 # ----------------------------------------------------------------------
 @st.composite
 def _weighted_scenarios(draw):
@@ -166,29 +166,40 @@ def test_weighted_allocation_is_feasible(scenario):
 @given(_weighted_scenarios())
 @settings(max_examples=100, deadline=None)
 def test_weighted_incremental_engine_matches_oracle(scenario):
+    """Solving each flow-graph component on its own (its subproblem
+    and weights) equals one global weighted solve."""
     flows, links, weights = scenario
-    engine = IncrementalFairShare()
+    graph = FlowGraph()
     link_objects = {
         name: Link(name, capacity) for name, capacity in links.items()
     }
     for flow_id, route in flows.items():
-        engine.add_flow(
+        graph.add_flow(
             flow_id,
             tuple(link_objects[name] for name in route),
             weight=weights[flow_id],
         )
-    engine.solve(set(flows))
+    got = {}
+    for seed in sorted(flows):
+        if seed in got:
+            continue
+        component = graph.component(seed)
+        got.update(
+            max_min_fair_rates(
+                *graph.subproblem(component),
+                flow_weights=graph.weights_for(component),
+            )
+        )
     expected = max_min_fair_rates(
         {f: tuple(r) for f, r in flows.items()},
         dict(links),
         flow_weights=weights,
     )
-    got = {flow_id: engine.rate(flow_id) for flow_id in flows}
     _assert_rates_match(expected, got)
 
 
 # ----------------------------------------------------------------------
-# Fabric drives: weighted flows through vector / incremental / global
+# Fabric drives: weighted flows through vector / global
 # ----------------------------------------------------------------------
 def _build(drive):
     sim = Simulator()
@@ -238,13 +249,12 @@ def _run_weighted_scenario(drive):
 def test_weighted_drives_agree():
     oracle = _run_weighted_scenario("global")
     assert set(oracle) == {"g1", "b1", "b2", "g2"}
-    for drive in ("vector", "incremental"):
-        got = _run_weighted_scenario(drive)
-        for label, expected in oracle.items():
-            assert got[label] == pytest.approx(expected, rel=1e-9), (
-                f"{drive}: {label} finished at {got[label]}, "
-                f"global says {expected}"
-            )
+    got = _run_weighted_scenario("vector")
+    for label, expected in oracle.items():
+        assert got[label] == pytest.approx(expected, rel=1e-9), (
+            f"vector: {label} finished at {got[label]}, "
+            f"global says {expected}"
+        )
     # Weighting is visible: gold's concurrent flow beats bronze's.
     assert oracle["g1"] < oracle["b1"]
 
