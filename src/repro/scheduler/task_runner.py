@@ -104,8 +104,9 @@ class TaskRunner:
         runtime.ensure_pairs(records, "shuffle write")
         num_reduces = dep.partitioner.num_partitions
         shard_lists: List[List] = [[] for _ in range(num_reduces)]
+        partition = dep.partitioner.partition
         for record in records:
-            shard_lists[dep.partitioner.partition(record[0])].append(record)
+            shard_lists[partition(record[0])].append(record)
         if dep.aggregator is not None and dep.map_side_combine:
             if stage.combine_done:
                 # Pre-combined before the transfer (§IV-C-3): only merge
