@@ -200,6 +200,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{perf['solves']:.0f} solves, "
             f"{perf['flows_touched']:.0f} flows touched "
             f"(mean {perf['mean_flows_per_solve']:.1f}/solve), "
+            f"{perf['plan_rounds']:.0f} plan rounds, "
             f"{perf['solver_seconds'] * 1e3:.1f} ms in solver, "
             f"peak {perf['peak_active_flows']:.0f} flows, "
             f"{perf['jitter_noops']:.0f} jitter no-ops"

@@ -14,8 +14,12 @@ incremented from the solver event loop:
 * ``flows_touched``     — total flows re-solved across all solves (the
   vector drive touches only the dirty connected component, so this is
   far below ``solves * active_flows``);
+* ``plan_rounds``       — progressive-fill rounds the vector drive's
+  general cascade plans computed (lazily: a round the next
+  perturbation makes moot is never computed);
 * ``solver_seconds``    — wall-clock time inside the solver + component
-  bookkeeping (real time, not simulated time);
+  bookkeeping, including the fill rounds computed when a departure
+  timer arms the next departure (real time, not simulated time);
 * ``total_flows``       — flows ever admitted;
 * ``peak_active_flows`` — high-water mark of concurrent flows;
 * ``jitter_noops``      — capacity-change notifications skipped because
@@ -35,6 +39,7 @@ class FabricPerfCounters:
     events: int = 0
     solves: int = 0
     flows_touched: int = 0
+    plan_rounds: int = 0
     solver_seconds: float = 0.0
     total_flows: int = 0
     peak_active_flows: int = 0

@@ -1,18 +1,18 @@
-"""Cascade plans: precomputed departure schedules for the vector drive.
+"""Cascade plans: lazily extended departure schedules for the vector drive.
 
 Re-solving the dirty connected component on *every* departure costs
 one Python BFS and one scalar solve per flow that drains.  But between
 external perturbations (arrivals, cancels, capacity changes) a
 component's future is fully determined: max-min fair sharing is a
-piecewise-linear fluid system, so the entire sequence of departures can
-be computed up front.  A
-:class:`CascadePlan` is that precomputation — the segment boundaries,
+piecewise-linear fluid system, so the sequence of departures can be
+played forward without touching the event loop.  A
+:class:`CascadePlan` holds that future — the segment boundaries,
 per-segment rates, and which flows drain at each boundary.  Departures
-then fire as bare precomputed timers
-(:meth:`~repro.simulation.kernel.Simulator.call_at`) with **zero**
-re-solves; a perturbation invalidates the affected plans (lazily
-cancelling their timers) and replays them up to *now* to recover each
-member's exact remaining bytes before re-planning.
+then fire as bare timers
+(:meth:`~repro.simulation.kernel.Simulator.call_at_reserved`) with
+**zero** re-solves; a perturbation invalidates the affected plans
+(cancelling their one pending timer) and replays them up to *now* to
+recover each member's exact remaining bytes before re-planning.
 
 Two plan shapes:
 
@@ -27,19 +27,27 @@ Two plan shapes:
   stores only 1-D per-segment arrays — no per-flow rate matrix at all;
 * :class:`GeneralPlan` — one :func:`~repro.network.vector_solver.
   progressive_fill` per departure round on the component's CSR arrays,
-  with the full (segments x flows) rate matrix.
+  **lazily extended**: a round is computed only when a departure timer
+  or a replay query reaches it.  A plan that the next arrival
+  invalidates after two departures has paid for two rounds, not for
+  its whole cascade.
 
 Replay is exact: each plan keeps the cumulative bytes delivered at
-every segment boundary, so ``remaining_at(pos, t)`` is one
-``searchsorted`` plus a fused multiply-add.
+every computed segment boundary, so ``remaining_at(pos, t)`` is one
+binary search plus a fused multiply-add.  A lazily computed round runs
+exactly the operations an eager loop would, so every boundary, rate
+and replayed byte count is bit-identical to computing the whole
+cascade up front.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.metrics.perf import FabricPerfCounters
 from repro.network.vector_solver import build_csr, progressive_fill
 
 # Departures within this relative window collapse into one segment (and
@@ -48,7 +56,7 @@ _TIE = 1e-12
 
 
 class CascadePlan:
-    """One component's precomputed future (base class; see subclasses).
+    """One component's future (base class; see subclasses).
 
     ``bounds`` are time offsets from ``base`` (``bounds[0] == 0``);
     segment ``k`` spans ``bounds[k]`` to ``bounds[k+1]``, and the flows
@@ -56,6 +64,11 @@ class CascadePlan:
     Positions index ``flow_ids`` — the plan's own member order, which
     need not match the caller's (``UniformPlan`` sorts members into
     departure order so each ``departs[k]`` is a contiguous range).
+
+    ``timer`` is the one pending departure timer and ``sequence`` the
+    first of the kernel sequence numbers the owner reserved for the
+    plan (segment ``k`` fires with ``sequence + k``); both belong to
+    the fabric that arms the plan.
     """
 
     __slots__ = (
@@ -65,7 +78,8 @@ class CascadePlan:
         "init_remaining",
         "bounds",
         "departs",
-        "timers",
+        "timer",
+        "sequence",
         "alive",
     )
 
@@ -74,7 +88,7 @@ class CascadePlan:
         flow_ids: List[int],
         base: float,
         init_remaining: np.ndarray,
-        bounds: np.ndarray,
+        bounds,
         departs: List[List[int]],
     ) -> None:
         self.flow_ids = flow_ids
@@ -83,21 +97,9 @@ class CascadePlan:
         self.init_remaining = init_remaining
         self.bounds = bounds
         self.departs = departs
-        self.timers: list = []
+        self.timer = None
+        self.sequence = 0
         self.alive = True
-
-    def _segment(self, offset: float) -> int:
-        k = int(np.searchsorted(self.bounds, offset, side="right")) - 1
-        last = len(self.departs) - 1
-        if k < 0:
-            return 0
-        if k > last:
-            return last
-        return k
-
-    def depart_times(self) -> List[float]:
-        """Absolute simulated time of each departure segment boundary."""
-        return (self.base + self.bounds[1:]).tolist()
 
 
 class UniformPlan(CascadePlan):
@@ -105,7 +107,8 @@ class UniformPlan(CascadePlan):
 
     All alive members share one rate per segment, so replay state is
     three 1-D arrays: segment bounds, segment rates, and the common
-    cumulative bytes delivered at each boundary.
+    cumulative bytes delivered at each boundary.  The closed form is
+    cheap enough to compute whole at build time.
     """
 
     __slots__ = ("seg_rates", "_cum")
@@ -128,6 +131,22 @@ class UniformPlan(CascadePlan):
         np.cumsum(seg_rates * np.diff(bounds), out=cum[1:])
         self._cum = cum
 
+    def depart_offset(self, segment: int) -> Optional[float]:
+        """Offset of segment ``segment``'s departure boundary, or
+        ``None`` when the cascade has fewer segments."""
+        if segment + 1 < len(self.bounds):
+            return float(self.bounds[segment + 1])
+        return None
+
+    def _segment(self, offset: float) -> int:
+        k = int(np.searchsorted(self.bounds, offset, side="right")) - 1
+        last = len(self.departs) - 1
+        if k < 0:
+            return 0
+        if k > last:
+            return last
+        return k
+
     def _delivered(self, offset: float) -> Tuple[int, float]:
         k = self._segment(offset)
         return k, self._cum[k] + self.seg_rates[k] * (offset - self.bounds[k])
@@ -148,42 +167,131 @@ class UniformPlan(CascadePlan):
 
 
 class GeneralPlan(CascadePlan):
-    """Iterative cascade with the full (segments x flows) rate matrix."""
+    """Iterative cascade, one progressive-fill round at a time.
 
-    __slots__ = ("rates", "_cum")
+    The plan keeps the component's CSR arrays, capacities, weights,
+    active mask and live remaining bytes; :meth:`_extend` plays one
+    more departure round and appends its boundary, rate row, departing
+    positions and cumulative-bytes row.  Round 0 runs at construction
+    (it supplies the initial rates and the first departure); later
+    rounds run only when a departure timer or a replay query needs
+    them.
+    """
+
+    __slots__ = (
+        "rates",
+        "_cum",
+        "_indices",
+        "_indptr",
+        "_flow_of_entry",
+        "_capacities",
+        "_weights",
+        "_active",
+        "_live",
+        "_elapsed",
+        "_counters",
+    )
 
     def __init__(
         self,
         flow_ids: List[int],
         base: float,
         init_remaining: np.ndarray,
-        bounds: np.ndarray,
-        rates: np.ndarray,
-        departs: List[List[int]],
+        routes: Sequence[np.ndarray],
+        capacities: np.ndarray,
+        weights: Optional[np.ndarray] = None,
+        counters: Optional[FabricPerfCounters] = None,
     ) -> None:
-        super().__init__(flow_ids, base, init_remaining, bounds, departs)
-        self.rates = rates
-        # _cum[k, pos]: bytes delivered to pos before segment k starts.
-        cum = np.empty((rates.shape[0] + 1, rates.shape[1]))
-        cum[0] = 0.0
-        np.cumsum(rates * np.diff(bounds)[:, None], axis=0, out=cum[1:])
-        self._cum = cum
+        super().__init__(flow_ids, base, init_remaining, [0.0], [])
+        self._indices, self._indptr, self._flow_of_entry = build_csr(routes)
+        self._capacities = capacities
+        self._weights = weights
+        self._active = np.ones(len(routes), dtype=bool)
+        self._live = init_remaining.copy()
+        self._elapsed = 0.0
+        self._counters = counters
+        # rates[k]: per-position rates during segment k; _cum[k]: bytes
+        # delivered to each position before segment k starts.
+        self.rates: List[np.ndarray] = []
+        self._cum: List[np.ndarray] = [np.zeros(len(routes))]
+        self._extend()
+
+    def _extend(self) -> bool:
+        """Compute the next departure round; False once every member
+        has departed."""
+        active = self._active
+        if not active.any():
+            return False
+        rates = progressive_fill(
+            self._indices,
+            self._indptr,
+            self._flow_of_entry,
+            self._capacities,
+            active,
+            weights=self._weights,
+        )
+        live = self._live
+        step = np.full(len(active), np.inf)
+        step[active] = live[active] / rates[active]
+        shortest = float(step.min())
+        departing = active & (step <= shortest * (1.0 + _TIE))
+        self._elapsed += shortest
+        live -= rates * shortest
+        np.clip(live, 0.0, None, out=live)
+        live[departing] = 0.0
+        bounds = self.bounds
+        # A row-wise running sum of delivered bytes: bit-identical to
+        # np.cumsum(axis=0) over the rows (rates are never -0.0).
+        self._cum.append(
+            self._cum[-1] + rates * (self._elapsed - bounds[-1])
+        )
+        self.rates.append(rates)
+        bounds.append(self._elapsed)
+        self.departs.append(np.flatnonzero(departing).tolist())
+        active &= ~departing
+        if self._counters is not None:
+            self._counters.plan_rounds += 1
+        return True
+
+    def depart_offset(self, segment: int) -> Optional[float]:
+        """Offset of segment ``segment``'s departure boundary (computing
+        rounds up to it), or ``None`` when the cascade has fewer
+        segments."""
+        bounds = self.bounds
+        while len(bounds) <= segment + 1:
+            if not self._extend():
+                return None
+        return bounds[segment + 1]
+
+    def _segment(self, offset: float) -> int:
+        bounds = self.bounds
+        # Extend until a computed boundary lies past ``offset``: later
+        # boundaries cannot then change which segment contains it.
+        while bounds[-1] <= offset and self._extend():
+            pass
+        k = bisect_right(bounds, offset) - 1
+        last = len(self.departs) - 1
+        if k < 0:
+            return 0
+        if k > last:
+            return last
+        return k
 
     def remaining_at(self, pos: int, now: float) -> float:
         offset = now - self.base
         k = self._segment(offset)
         remaining = (
             self.init_remaining[pos]
-            - self._cum[k, pos]
-            - self.rates[k, pos] * (offset - self.bounds[k])
+            - self._cum[k][pos]
+            - self.rates[k][pos] * (offset - self.bounds[k])
         )
         return float(remaining) if remaining > 0.0 else 0.0
 
     def rate_at(self, pos: int, now: float) -> float:
-        return float(self.rates[self._segment(now - self.base), pos])
+        return float(self.rates[self._segment(now - self.base)][pos])
 
     def initial_rate(self, pos: int) -> float:
-        return float(self.rates[0, pos])
+        return float(self.rates[0][pos])
 
 
 # ----------------------------------------------------------------------
@@ -211,40 +319,6 @@ def _uniform_schedule(
     return bounds, stage_rates[starts], departs
 
 
-def _general_schedule(
-    remaining: np.ndarray,
-    routes: Sequence[np.ndarray],
-    capacities: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, List[List[int]]]:
-    """Iterative cascade: one progressive fill per departure round."""
-    indices, indptr, flow_of_entry = build_csr(routes)
-    count = len(routes)
-    active = np.ones(count, dtype=bool)
-    live_remaining = remaining.copy()
-    bounds = [0.0]
-    rate_rows = []
-    departs = []
-    elapsed = 0.0
-    while active.any():
-        rates = progressive_fill(
-            indices, indptr, flow_of_entry, capacities, active, weights=weights
-        )
-        step = np.full(count, np.inf)
-        step[active] = live_remaining[active] / rates[active]
-        shortest = float(step.min())
-        departing = active & (step <= shortest * (1.0 + _TIE))
-        elapsed += shortest
-        live_remaining -= rates * shortest
-        np.clip(live_remaining, 0.0, None, out=live_remaining)
-        live_remaining[departing] = 0.0
-        rate_rows.append(rates)
-        bounds.append(elapsed)
-        departs.append(np.flatnonzero(departing).tolist())
-        active &= ~departing
-    return np.asarray(bounds), np.asarray(rate_rows), departs
-
-
 def build_plan(
     flow_ids: Sequence[int],
     remaining: Sequence[float],
@@ -252,8 +326,9 @@ def build_plan(
     capacities: Mapping[str, float],
     base: float,
     weights: Optional[Mapping[int, float]] = None,
+    counters: Optional[FabricPerfCounters] = None,
 ) -> CascadePlan:
-    """Plan one component's full departure schedule.
+    """Plan one component's departure schedule.
 
     ``flow_ids`` must be sorted (determinism); ``routes``/``capacities``
     are the engine's solver inputs for exactly these flows — shared link
@@ -261,7 +336,8 @@ def build_plan(
     returned plan's ``flow_ids`` may be a reordering of the input.
     ``weights`` (flow id -> weighted-fair-share weight, absent flows
     weigh 1.0) selects the weighted fill; ``None`` keeps the exact
-    unweighted path.
+    unweighted path.  ``counters`` (if given) counts every fill round a
+    general plan computes, now or later, in ``plan_rounds``.
     """
     init_remaining = np.asarray(remaining, dtype=float)
 
@@ -323,9 +399,12 @@ def build_plan(
         )
         if np.any(weight_array <= 0):
             raise ValueError("flow weights must be > 0")
-    bounds, rates, departs = _general_schedule(
-        init_remaining, index_routes, np.asarray(link_caps), weight_array
-    )
     return GeneralPlan(
-        list(flow_ids), base, init_remaining, bounds, rates, departs
+        list(flow_ids),
+        base,
+        init_remaining,
+        index_routes,
+        np.asarray(link_caps),
+        weight_array,
+        counters,
     )

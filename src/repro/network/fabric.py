@@ -16,12 +16,16 @@ Two solver drives exist:
 
 * **vector** (default) — a :class:`~repro.network.flow_graph.FlowGraph`
   scopes each perturbation to the connected components of flows and
-  links it touches, and those components' entire departure schedules
-  are precomputed as :class:`~repro.network.cascade.CascadePlan`\\ s
-  (numpy closed form for uniform-route components, CSR progressive
-  filling otherwise); departures then fire as bare precomputed timers
-  with **zero** re-solves, and a later perturbation replays the plan to
-  recover each member's exact remaining bytes;
+  links it touches, and each component's departure schedule is a
+  :class:`~repro.network.cascade.CascadePlan` (numpy closed form for
+  uniform-route components, CSR progressive filling otherwise),
+  lazily extended one departure round at a time.  Each plan keeps one
+  pending bare timer: firing a departure departs its flows with
+  **zero** re-solves and arms the next one, and a later perturbation
+  replays the plan to recover each member's exact remaining bytes.
+  Every plan reserves one kernel sequence number per member when it
+  is built, so its later-armed timers order exactly as if the whole
+  schedule had been armed up front;
 * **global** (``drive="global"``) — the original from-scratch re-solve
   of every active flow on every event, kept as the reference for the
   equivalence tests and the speedup microbenchmark.
@@ -511,14 +515,15 @@ class NetworkFabric:
             self.sanitizer.check_remaining(flow.flow_id, flow.remaining)
 
     def _invalidate_plan(self, plan: CascadePlan) -> None:
-        """Kill a plan: lazily cancel its timers and replay every
+        """Kill a plan: lazily cancel its pending timer and replay every
         still-active member up to now so ``remaining`` is exact before
         the re-plan."""
         if not plan.alive:
             return
         plan.alive = False
-        for handle in plan.timers:
-            handle.cancel()
+        if plan.timer is not None:
+            plan.timer.cancel()
+            plan.timer = None
         now = self.sim.now
         for pos, flow_id in enumerate(plan.flow_ids):
             flow = self._flows.get(flow_id)
@@ -618,6 +623,7 @@ class NetworkFabric:
                 capacities,
                 now,
                 weights=graph.weights_for(members),
+                counters=self.perf,
             )
             for pos, flow_id in enumerate(plan.flow_ids):
                 self._flows[flow_id].rate = plan.initial_rate(pos)
@@ -631,13 +637,11 @@ class NetworkFabric:
                     routes,
                     capacities,
                 )
-            for index, depart_time in enumerate(plan.depart_times()):
-                plan.timers.append(
-                    self.sim.call_at(
-                        depart_time,
-                        self._make_depart_timer(plan, index),
-                    )
-                )
+            # One sequence number per member bounds the segment count;
+            # reserving them now orders every later-armed segment as if
+            # the whole cascade had been scheduled here.
+            plan.sequence = self.sim.reserve_sequence(len(plan.flow_ids))
+            self._arm_departure(plan, 0)
             self.perf.solves += 1
             self.perf.flows_touched += len(members)
         # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
@@ -663,9 +667,35 @@ class NetworkFabric:
                     del plans[flow_id]
                 self._depart(flow)
             # No re-solve: the plan already models the post-departure
-            # rates of every surviving member.
+            # rates of every surviving member.  Arming the next segment
+            # may compute its fill round, which is solver time.
+            # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
+            started = time.perf_counter()
+            self._arm_departure(plan, segment + 1, chained=True)
+            # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
+            self.perf.solver_seconds += time.perf_counter() - started
 
         return fire
+
+    def _arm_departure(
+        self, plan: CascadePlan, segment: int, chained: bool = False
+    ) -> None:
+        """Arm the timer of ``plan``'s departure ``segment``, if any.
+
+        ``chained`` is set when the previous segment's timer arms this
+        one: a departure due at that same instant then runs right after
+        it, as it would have had both been scheduled at plan time.
+        """
+        offset = plan.depart_offset(segment)
+        if offset is None:
+            plan.timer = None
+            return
+        plan.timer = self.sim.call_at_reserved(
+            plan.base + offset,
+            plan.sequence + segment,
+            self._make_depart_timer(plan, segment),
+            chained=chained,
+        )
 
     def _depart(self, flow: Flow) -> None:
         """Remove a drained flow from the graph and complete it."""

@@ -12,21 +12,20 @@ is a ``bincount`` over the active flows' route entries, the bottleneck
 share is a masked minimum of ``residual / crossing``, saturation is a
 compare, and the flows frozen by a saturated link fall out of a
 ``logical_or.reduceat`` over the route slices.  The scalar solver
-stays the property-tested oracle: :func:`max_min_fair_rates_numpy`
-must agree with it to 1e-9 relative on arbitrary topologies (see
-``tests/network/test_vector_solver.py``).
+stays the property-tested oracle: a dict-API wrapper around
+:func:`progressive_fill`, kept in ``tests/network/test_vector_solver.py``,
+must agree with it to 1e-9 relative on arbitrary topologies.
 
-The module also hosts the *cascade* kernel used by the fabric's vector
-drive: given the remaining bytes of every flow in a component, it
-plays the fluid model forward through successive departures entirely
-in numpy, producing the component's full departure schedule in one
-call — the event loop then fires precomputed completion timers instead
-of re-solving per departure (see :mod:`repro.network.cascade`).
+The only production caller is the fabric's vector drive:
+:class:`~repro.network.cascade.GeneralPlan` runs one
+:func:`progressive_fill` per departure round of a component, computing
+each round only when a departure timer or a replay query reaches it
+(see :mod:`repro.network.cascade`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,63 +183,3 @@ def build_csr(
         indices = np.zeros(0, dtype=np.intp)
     flow_of_entry = np.repeat(np.arange(len(routes), dtype=np.intp), lengths)
     return indices, indptr, flow_of_entry
-
-
-def max_min_fair_rates_numpy(
-    flow_routes: Mapping[Hashable, Sequence[Hashable]],
-    link_capacities: Mapping[Hashable, float],
-    flow_weights: Optional[Mapping[Hashable, float]] = None,
-) -> Dict[Hashable, float]:
-    """Drop-in vectorized equivalent of :func:`~repro.network.
-    fair_share.max_min_fair_rates` (same dict API, same semantics:
-    empty routes get ``inf``, capacity is consumed per traversal for
-    routes crossing a link more than once, optional per-flow weights
-    for weighted fairness — flows absent from the mapping weigh 1.0)."""
-    rates: Dict[Hashable, float] = {}
-    constrained = []
-    for flow_id, route in flow_routes.items():
-        if route:
-            constrained.append(flow_id)
-        else:
-            rates[flow_id] = float("inf")
-    if not constrained:
-        return rates
-
-    link_ids: Dict[Hashable, int] = {}
-    capacities = []
-    routes = []
-    for flow_id in constrained:
-        row = np.empty(len(flow_routes[flow_id]), dtype=np.intp)
-        for position, link in enumerate(flow_routes[flow_id]):
-            index = link_ids.get(link)
-            if index is None:
-                capacity = float(link_capacities[link])
-                if capacity <= 0:
-                    raise ValueError(f"link {link!r} has capacity <= 0")
-                index = len(link_ids)
-                link_ids[link] = index
-                capacities.append(capacity)
-            row[position] = index
-        routes.append(row)
-
-    weight_array: Optional[np.ndarray] = None
-    if flow_weights:
-        weight_array = np.empty(len(constrained))
-        for position, flow_id in enumerate(constrained):
-            weight = float(flow_weights.get(flow_id, 1.0))
-            if weight <= 0:
-                raise ValueError(f"flow {flow_id!r} has weight <= 0")
-            weight_array[position] = weight
-
-    indices, indptr, flow_of_entry = build_csr(routes)
-    solved = progressive_fill(
-        indices,
-        indptr,
-        flow_of_entry,
-        np.asarray(capacities),
-        np.ones(len(constrained), dtype=bool),
-        weights=weight_array,
-    )
-    for position, flow_id in enumerate(constrained):
-        rates[flow_id] = float(solved[position])
-    return rates

@@ -205,6 +205,49 @@ class Simulator:
             raise SimulationError(f"negative timer delay: {delay}")
         return self.call_at(self._now + delay, fn)
 
+    def reserve_sequence(self, count: int) -> int:
+        """Reserve ``count`` consecutive sequence numbers; returns the first.
+
+        A caller that will schedule up to ``count`` timers later, one at
+        a time, passes ``first + k`` to :meth:`call_at_reserved` for its
+        ``k``-th timer.  Those timers then order against every other
+        entry exactly as if all of them had been scheduled now.
+        """
+        if count < 0:
+            raise SimulationError(f"negative sequence reservation: {count}")
+        first = next(self._sequence)
+        self._sequence = itertools.count(first + count)
+        return first
+
+    def call_at_reserved(
+        self,
+        time: float,
+        sequence: int,
+        fn: Callable[[], None],
+        chained: bool = False,
+    ) -> TimerHandle:
+        """:meth:`call_at` with a sequence number from
+        :meth:`reserve_sequence` instead of a fresh one.
+
+        ``chained`` marks a timer armed by the callback being delivered
+        as its direct successor: when due now, it runs next, ahead of
+        anything else already waiting at this instant.  Unchained, a
+        timer due now joins the back of the instant like :meth:`call_at`.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"call_at_reserved({time}) is in the past (now={self._now})"
+            )
+        handle = TimerHandle(fn)
+        if time == self._now:
+            if chained:
+                self._ready.appendleft(handle)
+            else:
+                self._ready.append(handle)
+        else:
+            self._wheel.push(time, sequence, handle)
+        return handle
+
     # ------------------------------------------------------------------
     # Scheduling (internal API used by Event)
     # ------------------------------------------------------------------

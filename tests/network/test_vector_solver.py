@@ -6,17 +6,82 @@ topologies — including routes that traverse the same link twice, flows
 with empty (unconstrained, ``inf``) routes, and degenerate single-link
 meshes.  The scalar solver is the oracle; these tests are the contract
 that lets the fabric's vector drive trust the kernel.
+
+``max_min_fair_rates_numpy`` below wraps the kernel in the scalar
+solver's dict API.  Only the tests call it, so it lives here.
 """
 
 import math
+from typing import Dict, Hashable, Mapping, Optional, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network.fair_share import max_min_fair_rates, verify_allocation
 from repro.network.flow_graph import FlowGraph
 from repro.network.topology import Link
-from repro.network.vector_solver import max_min_fair_rates_numpy
+from repro.network.vector_solver import build_csr, progressive_fill
+
+
+def max_min_fair_rates_numpy(
+    flow_routes: Mapping[Hashable, Sequence[Hashable]],
+    link_capacities: Mapping[Hashable, float],
+    flow_weights: Optional[Mapping[Hashable, float]] = None,
+) -> Dict[Hashable, float]:
+    """Drop-in vectorized equivalent of :func:`~repro.network.
+    fair_share.max_min_fair_rates` (same dict API, same semantics:
+    empty routes get ``inf``, capacity is consumed per traversal for
+    routes crossing a link more than once, optional per-flow weights
+    for weighted fairness — flows absent from the mapping weigh 1.0)."""
+    rates: Dict[Hashable, float] = {}
+    constrained = []
+    for flow_id, route in flow_routes.items():
+        if route:
+            constrained.append(flow_id)
+        else:
+            rates[flow_id] = float("inf")
+    if not constrained:
+        return rates
+
+    link_ids: Dict[Hashable, int] = {}
+    capacities = []
+    routes = []
+    for flow_id in constrained:
+        row = np.empty(len(flow_routes[flow_id]), dtype=np.intp)
+        for position, link in enumerate(flow_routes[flow_id]):
+            index = link_ids.get(link)
+            if index is None:
+                capacity = float(link_capacities[link])
+                if capacity <= 0:
+                    raise ValueError(f"link {link!r} has capacity <= 0")
+                index = len(link_ids)
+                link_ids[link] = index
+                capacities.append(capacity)
+            row[position] = index
+        routes.append(row)
+
+    weight_array: Optional[np.ndarray] = None
+    if flow_weights:
+        weight_array = np.empty(len(constrained))
+        for position, flow_id in enumerate(constrained):
+            weight = float(flow_weights.get(flow_id, 1.0))
+            if weight <= 0:
+                raise ValueError(f"flow {flow_id!r} has weight <= 0")
+            weight_array[position] = weight
+
+    indices, indptr, flow_of_entry = build_csr(routes)
+    solved = progressive_fill(
+        indices,
+        indptr,
+        flow_of_entry,
+        np.asarray(capacities),
+        np.ones(len(constrained), dtype=bool),
+        weights=weight_array,
+    )
+    for position, flow_id in enumerate(constrained):
+        rates[flow_id] = float(solved[position])
+    return rates
 
 
 def _assert_rates_match(scalar, vectorized, rel=1e-9):

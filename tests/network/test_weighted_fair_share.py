@@ -22,8 +22,8 @@ from repro.network.fabric import NetworkFabric
 from repro.network.fair_share import max_min_fair_rates, verify_allocation
 from repro.network.flow_graph import FlowGraph
 from repro.network.topology import GBPS, MBPS, Link, Topology
-from repro.network.vector_solver import max_min_fair_rates_numpy
 from repro.simulation import Simulator
+from tests.network.test_vector_solver import max_min_fair_rates_numpy
 
 
 def _assert_rates_match(scalar, vectorized, rel=1e-9):

@@ -206,3 +206,70 @@ def test_processed_events_counter_increases():
     sim.timeout(2.0)
     sim.run()
     assert sim.processed_events >= 2
+
+
+# ----------------------------------------------------------------------
+# Reserved sequence numbers
+# ----------------------------------------------------------------------
+def test_reserve_sequence_hands_out_consecutive_blocks():
+    sim = Simulator()
+    first = sim.reserve_sequence(3)
+    second = sim.reserve_sequence(2)
+    assert second == first + 3
+    # An empty reservation consumes nothing.
+    empty = sim.reserve_sequence(0)
+    assert sim.reserve_sequence(1) == empty
+    with pytest.raises(SimulationError):
+        sim.reserve_sequence(-1)
+
+
+def test_reserved_timer_orders_as_if_scheduled_at_reservation():
+    """A timer armed later with a reserved number fires before an
+    entry for the same instant that was scheduled after the
+    reservation but before the timer itself."""
+    sim = Simulator()
+    fired = []
+    first = sim.reserve_sequence(2)
+    sim.call_at(5.0, lambda: fired.append("scheduled-after-reservation"))
+
+    def arm():
+        sim.call_at_reserved(5.0, first + 1, lambda: fired.append("reserved"))
+
+    sim.call_at(2.0, arm)
+    sim.run()
+    assert fired == ["reserved", "scheduled-after-reservation"]
+
+
+def test_chained_timer_due_now_runs_next_and_counts_as_one_event():
+    sim = Simulator()
+    order = []
+    first = sim.reserve_sequence(1)
+
+    def head():
+        order.append("head")
+        sim.call_at(sim.now, lambda: order.append("queued-now"))
+        sim.call_at_reserved(
+            sim.now, first, lambda: order.append("chained"), chained=True
+        )
+        sim.call_at_reserved(sim.now, first, lambda: order.append("unchained"))
+
+    sim.call_at(1.0, head)
+    sim.call_at(1.0, lambda: order.append("batch-peer"))
+    sim.run()
+    assert order == [
+        "head",
+        "chained",
+        "batch-peer",
+        "queued-now",
+        "unchained",
+    ]
+    # Every callback is its own delivery.
+    assert sim.processed_events == 5
+
+
+def test_call_at_reserved_in_the_past_raises():
+    sim = Simulator()
+    sim.timeout(1.0)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.call_at_reserved(0.5, sim.reserve_sequence(1), lambda: None)
